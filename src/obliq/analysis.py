@@ -2,9 +2,9 @@
 
 Suites here audit the proven inequalities (entropic uncertainty, the
 pairwise-unbiased leakage cap, the POVM no-advantage bound, Haar overlap
-concentration) and run the adversarial leakage search: a multi-restart
-derivative-free maximization of expected information gain over projective
-measurements, parameterized through the Hermitian exponential map.
+concentration) and run the adversarial leakage search: multi-restart
+Riemannian steepest descent on U(n) with the exact gradient, maximizing the
+expected information gain of a projective measurement.
 
 A note on the uncertainty constant: for measurements given by the rows of
 unitaries A and B, the proven lower bound on H2(Au) + H2(Bu) is
@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import qmath
 from .encodings import EncodingFamily, build_family, mub_family, random_family, walsh_matrix
 from .povm import povm_entropy_bound_check, random_povm
 from .protocol import honest_basis, honest_leakage, invert_basis
-from .qmath import SeededRng
+from .qmath import BoundViolation, SeededRng
 
 _CHUNK = 2048
 RULE_OF_THUMB = (0.4, 0.7)  # reference constants for the leakage power-law fit
@@ -183,8 +182,6 @@ class OptimizerConfig:
     restarts: int = 32
     iterations: int = 2000
     gain_tol: float = 1e-7
-    polish: bool = True
-    structured_starts: bool = True
 
 
 @dataclass
@@ -205,33 +202,7 @@ class LeakageResult:
 
     def __post_init__(self):
         if self.best_gain > self.bound + 1e-6:
-            raise AssertionError(
-                f"gain {self.best_gain} exceeds the proven bound {self.bound}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "family": self.family_kind,
-            "best_gain_bits": self.best_gain,
-            "bound_bits": self.bound,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "best_restart": self.best_restart,
-            "note": self.note,
-        }
-
-
-def _hermitian_from_params(theta: np.ndarray, n: int) -> np.ndarray:
-    h = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    off = theta[n:]
-    h[iu] = off[0::2] + 1j * off[1::2]
-    h = h + h.conj().T
-    np.fill_diagonal(h, theta[:n])
-    return h
+            raise BoundViolation(f"gain {self.best_gain} exceeds the proven bound {self.bound}")
 
 
 def unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
@@ -239,7 +210,11 @@ def unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.size != n * n:
         raise ValueError(f"need {n * n} parameters for dimension {n}")
-    w, v = np.linalg.eigh(_hermitian_from_params(theta, n))
+    h = np.zeros((n, n), dtype=complex)
+    h[np.triu_indices(n, 1)] = theta[n::2] + 1j * theta[n + 1 :: 2]
+    h = h + h.conj().T
+    np.fill_diagonal(h, theta[:n])
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
@@ -259,14 +234,14 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _stacked_encoders(family: EncodingFamily) -> np.ndarray:
+    return np.concatenate([family.encoder(i) for i in range(family.k)], axis=1)
+
+
 def gain_from_params(theta: np.ndarray, family: EncodingFamily) -> float:
     """Expected information gain (bits) of the measurement exp(iH(theta))."""
     n = family.n
-    mat = unitary_from_params(theta, n)
-    total = 0.0
-    for i in range(family.k):
-        probs = np.abs(mat @ family.encoder(i)) ** 2
-        total += float(qmath.entropy_rows(probs).sum())
+    total = _objective(unitary_from_params(theta, n), _stacked_encoders(family))[0]
     return float(np.log2(n)) - total / (family.k * n)
 
 
@@ -276,128 +251,136 @@ def _leakage_bound(family: EncodingFamily) -> float:
     return float(family.k * family.m)
 
 
-def _direction_search(fn, x0, iterations, tol, gen):
-    """Adaptive random-direction descent: two probes per step, shrinking radius."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = fn(x)
-    step = 0.5
-    stall = 0
+_INV_LN2 = 1.0 / np.log(2.0)
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
+_MIN_STEP = 1e-12
+_KICK = 1e-3  # Frobenius norm of the skew perturbation of a structured start
+
+
+def _objective(u: np.ndarray, encoders: np.ndarray):
+    """f(U) = sum_i sum_rows H2(|U E_i|^2), E_i side by side in `encoders`.
+
+    Also returns a thunk for the Riemannian gradient skew(G U^dag), where
+    G = sum_i [2 (-log2 p - 1/ln 2) * U E_i] E_i^dag and so G U^dag is
+    W (U E)^dag.  Where p = 0, U E_i = 0 gives the term its exact limit, 0.
+    """
+    amp = u @ encoders
+    p = amp.real**2 + amp.imag**2
+    logs = np.zeros_like(p)
+    np.log2(p, out=logs, where=p > 0.0)
+
+    def riemannian_gradient() -> np.ndarray:
+        g = (amp * (-2.0 * (logs + _INV_LN2))) @ amp.conj().T
+        return 0.5 * (g - g.conj().T)
+
+    return -float((p * logs).sum()), riemannian_gradient
+
+
+def _cayley_step(u: np.ndarray, omega: np.ndarray, mu: float) -> np.ndarray:
+    """Cayley(-mu Omega) U = (I + mu Omega/2)^-1 (I - mu Omega/2) U, unitary for skew Omega."""
+    half = (0.5 * mu) * omega
+    return np.linalg.solve(np.eye(len(u)) + half, u - half @ u)
+
+
+def _descend(u, encoders, iterations: int, min_drop: float):
+    """Riemannian steepest descent of f on U(n) (Abrudan, Eriksson & Koivunen 2008).
+
+    Armijo steps along the Cayley retraction; a rejected mu is replaced by
+    the quadratic-interpolation step, an accepted one doubles for the next
+    step.  Stops after `iterations` steps or a drop in f below `min_drop`.
+    """
+    f, gradient = _objective(u, encoders)
+    mu = 1.0
     for _ in range(iterations):
-        d = gen.standard_normal(x.size)
-        d /= np.linalg.norm(d)
-        improved = False
-        for sign in (1.0, -1.0):
-            cand = x + sign * step * d
-            fc = fn(cand)
-            if fc < fx - 1e-15:
-                x, fx = cand, fc
-                improved = True
+        omega = gradient()
+        slope = float(np.vdot(omega, omega).real)  # -df/dmu at mu = 0
+        while True:
+            cand = _cayley_step(u, omega, mu)
+            f_cand, grad_cand = _objective(cand, encoders)
+            if f_cand <= f - _ARMIJO * mu * slope:
                 break
-        if improved:
-            step = min(step * 1.5, 2.0)
-            stall = 0
-        else:
-            step *= 0.9
-            stall += 1
-        if step < 1e-7 or stall > 200:
+            curvature = f_cand - f + mu * slope  # > 0 whenever Armijo fails
+            mu = min(max(0.5 * slope * mu * mu / curvature, 0.1 * mu), 0.5 * mu)
+            if mu < _MIN_STEP:
+                return u, f
+        drop = f - f_cand
+        u, f, gradient = cand, f_cand, grad_cand
+        if drop < min_drop:
             break
-    return x, fx
+        mu *= 2.0
+    return u, f
 
 
 def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng) -> LeakageResult:
-    """Maximize expected gain over projective measurements.
+    """Maximize expected gain, log2 n - f(U) / (k n), by `_descend` from each start.
 
-    Multi-restart Nelder-Mead over the Hermitian-exponential parameters,
-    followed by a finite-difference quasi-Newton polish.  Honest and
-    inverse-encoder measurements are included among the starting points, so
-    the result can never undershoot the honest strategy.
+    The first 2k restarts start at the honest, then the inverse-encoder,
+    bases.  These are stationary points of f, so the descent begins at a
+    seeded skew perturbation of size 1e-3 and the start itself stays a
+    candidate: the result never falls below the honest strategy.  Later
+    restarts start from Haar unitaries.  Restarts run serially.  best_params
+    are the winner's Hermitian parameters; best_gain is their gain_from_params.
     """
-    n = family.n
-    if n > 4096:
-        raise ValueError("leakage search capped at dimension 4096")
-    starts = []
-    if config.structured_starts:
-        for j in range(family.k):
-            starts.append(params_from_unitary(honest_basis(family, j).matrix))
-        for g in range(family.k):
-            starts.append(params_from_unitary(invert_basis(family, g).matrix))
-    starts = starts[: config.restarts]
-    for idx in range(len(starts), config.restarts):
-        starts.append(rng.derive(idx).gen.normal(0.0, 1.0, n * n))
-
-    def neg_gain(theta):
-        return -gain_from_params(theta, family)
-
-    n_params = n * n
-
-    def run_start(pair):
-        idx, x0 = pair
-        if n_params <= 1024:
-            res = scipy.optimize.minimize(
-                neg_gain,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.iterations,
-                    "fatol": config.gain_tol,
-                    "xatol": 1e-6,
-                    "adaptive": True,
-                },
-            )
-            best_x, best_f = res.x, res.fun
-            if config.polish:
-                res2 = scipy.optimize.minimize(
-                    neg_gain,
-                    best_x,
-                    method="L-BFGS-B",
-                    options={"maxiter": 100, "maxfun": max(3000, 4 * n_params)},
-                )
-                if res2.fun < best_f:
-                    best_x, best_f = res2.x, res2.fun
+    n, k = family.n, family.k
+    if config.restarts < 1:
+        raise ValueError("the leakage search needs restarts >= 1")
+    encoders = _stacked_encoders(family)
+    structured = [honest_basis(family, j).matrix for j in range(k)]
+    structured += [invert_basis(family, g).matrix for g in range(k)]
+    min_drop = config.gain_tol * k * n
+    best_f, best_idx, best_u = np.inf, 0, None
+    for idx in range(config.restarts):
+        stream = rng.derive(idx)
+        if idx < len(structured):
+            start = structured[idx]
+            z = stream.gen.standard_normal((n, n)) + 1j * stream.gen.standard_normal((n, n))
+            kick = z - z.conj().T
+            u0 = _cayley_step(start, kick * (_KICK / np.linalg.norm(kick)), 1.0)
+            candidates = [(_objective(start, encoders)[0], start)]
         else:
-            # the simplex would need n^2+1 vertices here; use a random-direction
-            # compass search whose per-step cost is dimension-independent
-            best_x, best_f = _direction_search(
-                neg_gain, x0, config.iterations, config.gain_tol, rng.derive(1000 + idx).gen
-            )
-        # a local step never justifies losing the starting point
-        f0 = neg_gain(x0)
-        if f0 < best_f:
-            best_x, best_f = x0, f0
-        return idx, best_x, best_f
-
-    outcomes = _parallel_map(run_start, list(enumerate(starts)))
-    best_idx, best_x, best_f = min(outcomes, key=lambda t: (t[2], t[0]))
+            u0 = qmath.haar_unitary(n, stream)
+            candidates = []
+        u, f = _descend(u0, encoders, config.iterations, min_drop)
+        for f_c, u_c in candidates + [(f, u)]:
+            if f_c < best_f:
+                best_f, best_idx, best_u = f_c, idx, u_c
+    best_params = params_from_unitary(best_u)
     return LeakageResult(
-        k=family.k,
+        k=k,
         m=family.m,
         family_kind=family.kind,
-        best_gain=-best_f,
+        best_gain=gain_from_params(best_params, family),
         bound=_leakage_bound(family),
         restarts=config.restarts,
         iterations=config.iterations,
         seed=rng.seed,
-        best_params=np.asarray(best_x, dtype=float),
+        best_params=best_params,
         best_restart=best_idx,
     )
 
 
-def leakage_scan(k_values, m_values, config: OptimizerConfig, rng: SeededRng):
-    """max_leakage over a (k, m) grid of unbiased families, plus a power-law fit.
-
-    Cells with k m > 12 are rejected; cells where no unbiased family of size
-    k exists (k > 2^m + 1) are skipped.  Returns (results, fit) where fit
-    holds the least-squares constants of gain ~ c * k^alpha * m next to the
-    0.4 * k^0.7 * m rule of thumb this scan is compared against.
-    """
+def scan_cells(k_values, m_values) -> list:
+    """Grid cells with an unbiased family (k <= 2^m + 1); ValueError if one is off the cap or none."""
     cells = []
     for k in k_values:
         for m in m_values:
-            if k * m > 12:
-                raise ValueError(f"cell (k={k}, m={m}) exceeds the desk-scale cap km <= 12")
-            if k > (1 << m) + 1:
-                continue
-            cells.append((k, m))
+            if k < 2 or m < 1 or k * m > 12:
+                raise ValueError(f"cell (k={k}, m={m}) is off the desk-scale cap k>=2, m>=1, km<=12")
+            if k <= (1 << m) + 1:
+                cells.append((k, m))
+    if not cells:
+        raise ValueError("no (k, m) cell has an unbiased family (need k <= 2^m + 1)")
+    return cells
+
+
+def leakage_scan(k_values, m_values, config: OptimizerConfig, rng: SeededRng):
+    """max_leakage over the scan_cells of a (k, m) grid, plus a power-law fit.
+
+    Returns (results, fit) where fit holds the least-squares constants of
+    gain ~ c * k^alpha * m next to the 0.4 * k^0.7 * m rule of thumb this
+    scan is compared against.
+    """
+    cells = scan_cells(k_values, m_values)
 
     def run_cell(args):
         idx, (k, m) = args

@@ -28,7 +28,7 @@ from .encodings import (
     walsh_matrix,
 )
 from .protocol import DatabaseState, honest_basis, invert_basis, parity_basis, run_session
-from .qmath import SeededRng
+from .qmath import BoundViolation, SeededRng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +45,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse hook; route to exit code 1
         raise UsageError(message)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -76,7 +83,7 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True)
-    ver.add_argument("--trials", type=int, default=None)
+    ver.add_argument("--trials", type=_positive, default=None)
     ver.add_argument("--k", type=int, default=2)
     ver.add_argument("--m", type=int, default=1)
     ver.add_argument("--seed", type=int, required=True)
@@ -85,8 +92,8 @@ def _build_parser() -> _Parser:
     scan = sub.add_parser("scan", help="leakage scan over a (k, m) grid")
     scan.add_argument("--k", default="2..3", help="k range, e.g. 2..4")
     scan.add_argument("--m", default="1..2", help="m range, e.g. 1..2")
-    scan.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
-    scan.add_argument("--iters", type=int, default=OptimizerConfig.iterations)
+    scan.add_argument("--restarts", type=_positive, default=OptimizerConfig.restarts)
+    scan.add_argument("--iters", type=_positive, default=OptimizerConfig.iterations)
     scan.add_argument("--seed", type=int, required=True)
     scan.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
@@ -295,6 +302,10 @@ def _verify_one(suite: str, args, rng: SeededRng):
             reports.append(analysis.concentration_experiment(ell, trials, None, rng.derive(idx)))
     elif suite == "hk":
         trials = args.trials or 20_000
+        try:
+            analysis.scan_cells([args.k], [args.m])
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if args.k == 2:
             # the proven pair: the identity and a flat unitary on the joint space
             encs = [np.eye(1 << (2 * args.m)), walsh_matrix(2 * args.m)]
@@ -376,13 +387,12 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     k_values = _parse_range(args.k)
     m_values = _parse_range(args.m)
-    for k in k_values:
-        for m in m_values:
-            if k * m > 12:
-                raise UsageError(f"grid cell (k={k}, m={m}) exceeds the desk-scale cap km <= 12")
+    try:
+        analysis.scan_cells(k_values, m_values)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     config = OptimizerConfig(restarts=args.restarts, iterations=args.iters)
-    rng = SeededRng(args.seed)
-    results, fit = analysis.leakage_scan(k_values, m_values, config, rng)
+    results, fit = analysis.leakage_scan(k_values, m_values, config, SeededRng(args.seed))
     return _write_output(analysis.scan_csv(results, fit), args.out)
 
 
@@ -402,6 +412,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BoundViolation as exc:
+        print(f"bound violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

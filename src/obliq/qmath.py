@@ -20,6 +20,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+class BoundViolation(AssertionError):
+    """A computed quantity broke a proven bound (the CLI's exit code 2)."""
+
+
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
     x ^= x >> 30

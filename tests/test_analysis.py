@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from obliq.analysis import (
+    LeakageResult,
     OptimizerConfig,
+    _cayley_step,
+    _objective,
+    _stacked_encoders,
     concentration_experiment,
     explore_condition_2prime,
     fit_power_law,
@@ -20,7 +24,8 @@ from obliq.analysis import (
     verify_theorem1,
 )
 from obliq.encodings import build_family, explicit_single_bit_family, mub_family, walsh_matrix
-from obliq.qmath import SeededRng, h2, haar_unitary, is_unitary
+from obliq.protocol import honest_basis, invert_basis
+from obliq.qmath import BoundViolation, SeededRng, h2, haar_unitary, is_unitary
 
 QUICK = OptimizerConfig(restarts=6, iterations=300)
 
@@ -112,6 +117,55 @@ class TestMaxLeakage:
         assert a.best_gain == b.best_gain
         np.testing.assert_array_equal(a.best_params, b.best_params)
 
+    def test_default_config_reaches_four_thirds_at_k3(self):
+        res = max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(), SeededRng(802))
+        assert 1.3087 <= res.best_gain <= 1.5 + 1e-6
+
+    def test_needs_a_restart(self):
+        with pytest.raises(ValueError, match="restarts"):
+            max_leakage(explicit_single_bit_family(), OptimizerConfig(restarts=0), SeededRng(1))
+
+    def test_bound_violation_is_typed(self):
+        with pytest.raises(BoundViolation) as info:
+            LeakageResult(2, 1, "mub", 1.5, 1.0, 1, 1, 0, np.zeros(16))
+        assert isinstance(info.value, AssertionError)
+
+
+class TestGradient:
+    @pytest.mark.parametrize(
+        "family", [explicit_single_bit_family(), build_family(mub_family(3, 1))], ids=["explicit", "mub31"]
+    )
+    def test_matches_central_differences(self, family):
+        # along Cayley(-t A) U = (I + t A) U + O(t^2) the slope of f at t = 0
+        # is Re <Omega, A>; check it on every element of a basis of skew A
+        enc = _stacked_encoders(family)
+        n = family.n
+        u = haar_unitary(n, SeededRng(31))
+        omega = _objective(u, enc)[1]()
+        h = 1e-5
+        fd, exact = [], []
+        for r in range(n):
+            for c in range(r, n):
+                for unit in (1j,) if r == c else (1.0, 1j):
+                    a = np.zeros((n, n), dtype=complex)
+                    a[r, c] = unit
+                    a[c, r] = -np.conj(unit)
+                    up = _objective(_cayley_step(u, a, -h), enc)[0]
+                    down = _objective(_cayley_step(u, a, h), enc)[0]
+                    fd.append((up - down) / (2 * h))
+                    exact.append(np.vdot(omega, a).real)
+        fd, exact = np.array(fd), np.array(exact)
+        assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2)])
+    def test_structured_starts_are_stationary(self, k, m):
+        family = build_family(mub_family(k, m))
+        enc = _stacked_encoders(family)
+        for j in range(k):
+            for basis in (honest_basis(family, j), invert_basis(family, j)):
+                omega = _objective(basis.matrix, enc)[1]()
+                assert np.linalg.norm(omega) < 1e-12
+
 
 class TestLeakageScan:
     def test_grid_rows_and_bounds(self):
@@ -130,6 +184,10 @@ class TestLeakageScan:
     def test_desk_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             leakage_scan([5], [3], QUICK, SeededRng(1))
+
+    def test_grid_without_feasible_cell_rejected(self):
+        with pytest.raises(ValueError, match="unbiased family"):
+            leakage_scan([5], [1], QUICK, SeededRng(1))
 
     def test_csv_shape(self):
         cfg = OptimizerConfig(restarts=2, iterations=60)

@@ -2,7 +2,10 @@
 
 import json
 
-from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from obliq import analysis
+from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 def run(argv, capsys):
@@ -193,3 +196,45 @@ class TestScan:
         run(args + ["--out", str(f1)], capsys)
         run(args + ["--out", str(f2)], capsys)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_thread_count_never_changes_csv(self, tmp_path, capsys, monkeypatch):
+        args = ["scan", "--k", "2..3", "--m", "1..2", "--restarts", "3", "--iters", "30", "--seed", "4"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OBLIQ_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert run(args + ["--out", str(out)], capsys)[0] == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_bound_violation_exits_2_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "_leakage_bound", lambda family: -1.0)
+        code, out, err = run(["scan", "--k", "2", "--m", "1", "--restarts", "1", "--seed", "1"], capsys)
+        assert code == EXIT_VIOLATION
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("bound violation")
+
+
+class TestMalformed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "povm", "--trials", "-3", "--seed", "5"],
+            ["verify", "--suite", "povm", "--trials", "0", "--seed", "5"],
+            ["verify", "--suite", "entropic", "--trials", "0", "--seed", "5"],
+            ["scan", "--k", "2", "--m", "1", "--restarts", "0", "--seed", "5"],
+            ["verify", "--suite", "hk", "--k", "5", "--m", "1", "--seed", "5"],
+            ["verify", "--suite", "hk", "--k", "2", "--m", "7", "--seed", "5"],
+            ["scan", "--k", "5", "--m", "1", "--seed", "5"],
+            ["scan", "--k", "1", "--m", "1", "--seed", "5"],
+            ["scan", "--k", "2", "--m", "0", "--seed", "5"],
+            ["scan", "--k", "2", "--m", "1", "--iters", "-4", "--seed", "5"],
+            ["verify", "--suite", "hk", "--k", "1", "--m", "1", "--seed", "5"],
+        ],
+    )
+    def test_one_line_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error")
