@@ -251,7 +251,7 @@ def cmd_session(args) -> int:
             transcript = run_session(db, family, strategy, rng.derive(1))
         else:
             transcript = hardening.masked_session(db, family, mask, strategy, rng.derive(1))
-        payload = json.dumps(transcript.to_dict(), indent=2) + "\n"
+        payload = json.dumps(transcript.to_dict(), indent=2, allow_nan=False) + "\n"
         return _write_output(payload, args.out)
 
     # share-split rounds: each round is an independent session on one pair
@@ -283,7 +283,7 @@ def cmd_session(args) -> int:
         "decoded": decoded,
         "seed": [rng.seed, rng.stream],
     }
-    return _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+    return _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
 
 
 def _verify_one(suite: str, args, rng: SeededRng):
@@ -376,7 +376,7 @@ def cmd_verify(args) -> int:
     reports = []
     for idx, suite in enumerate(suites):
         reports.extend(_verify_one(suite, args, rng.derive(idx)))
-    payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    payload = json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False) + "\n"
     code = _write_output(payload, args.out)
     if code != EXIT_OK:
         return code

@@ -15,7 +15,7 @@ import numpy as np
 from . import gf2, protocol
 from .encodings import EncodingFamily
 from .protocol import DatabaseState, MeasurementBasis, SessionTranscript, invert_basis
-from .qmath import SeededRng
+from .qmath import BoundViolation, SeededRng
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def xor_guess_attack(
             for s0, s1 in recovered:
                 got = (got[0] ^ s0, got[1] ^ s1)
             if got != tuple(db.items):
-                raise AssertionError("matched guesses must reconstruct the database")
+                raise BoundViolation("matched guesses must reconstruct the database")
             successes += 1
     freq = successes / trials
     expected = 2.0 ** (-r)

@@ -15,7 +15,7 @@ import numpy as np
 from . import qmath
 from .encodings import EncodingFamily
 from .protocol import MeasurementBasis
-from .qmath import DEFAULT_TOL, SeededRng
+from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
 _PSD_TOL = -1e-9
 
@@ -85,43 +85,44 @@ def measure_povm(state: np.ndarray, p: Povm, rng: SeededRng):
     return j, post
 
 
-def povm_posterior(p: Povm, family: EncodingFamily, i: int, j: int) -> np.ndarray:
-    """P(d | outcome j, announced i) under the uniform prior.
+def _outcome_posteriors(r: np.ndarray, family: EncodingFamily) -> np.ndarray:
+    """Row i: P(d | outcome R, announced i) under the uniform prior, one product per encoding.
 
-    Uses the trace-normalized operator S = R_j / s with s^2 = Tr(R^dag R);
-    s^2 is checked to be identical under every encoding choice.
+    Uses the trace-normalized operator S = R / s with s^2 = Tr(R^dag R).
+    Unitary invariance makes every |S E_i|^2 sum to 1; a deviation beyond
+    1e-12 s^2 means the normalizer depends on the encoding choice.
     """
-    if not 0 <= j < len(p.operators):
-        raise ValueError(f"outcome {j} out of range")
-    r = p.operators[j]
     s2 = float(np.trace(r.conj().T @ r).real)
     if s2 < 1e-15:
         raise ValueError("degenerate operator: Tr(R^dag R) ~ 0")
-    # unitary invariance: the normalizer cannot depend on the encoding
-    for enc_idx in range(family.k):
-        g = r @ family.encoder(enc_idx)
-        s2_enc = float((np.abs(g) ** 2).sum())
-        if abs(s2_enc - s2) > 1e-12 * max(1.0, s2):
-            raise AssertionError("normalizer varies with the encoding choice")
-    g = (r / np.sqrt(s2)) @ family.encoder(i)
-    probs = (np.abs(g) ** 2).sum(axis=0)
-    return probs / probs.sum()
+    s_op = r / np.sqrt(s2)
+    rows = np.empty((family.k, family.n))
+    for i in range(family.k):
+        probs = (np.abs(s_op @ family.encoder(i)) ** 2).sum(axis=0)
+        if abs(probs.sum() - 1.0) * s2 > 1e-12 * max(1.0, s2):
+            raise BoundViolation("normalizer varies with the encoding choice")
+        rows[i] = probs / probs.sum()
+    return rows
+
+
+def povm_posterior(p: Povm, family: EncodingFamily, i: int, j: int) -> np.ndarray:
+    """P(d | outcome j, announced i) under the uniform prior (see `_outcome_posteriors`)."""
+    if not (0 <= j < len(p.operators) and 0 <= i < family.k):
+        raise ValueError(f"outcome {j} or encoding {i} out of range")
+    return _outcome_posteriors(p.operators[j], family)[i]
 
 
 def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
     """Entropy/gain accounting of a POVM against every encoding choice.
 
     Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
+    Each outcome costs k products R_j E_i, shared by the normalizer check and
+    the posteriors.
     """
-    n, k = family.n, family.k
+    n = family.n
     log_n = float(np.log2(n))
-    n_out = len(p.operators)
-    h_cond = np.empty((n_out, k))
-    weights = np.empty(n_out)
-    for j, r in enumerate(p.operators):
-        weights[j] = float(np.trace(r.conj().T @ r).real) / n
-        for i in range(k):
-            h_cond[j, i] = qmath.shannon_entropy(povm_posterior(p, family, i, j))
+    h_cond = np.array([qmath.entropy_rows(_outcome_posteriors(r, family)) for r in p.operators])
+    weights = np.array([float(np.trace(r.conj().T @ r).real) / n for r in p.operators])
     h_avg = h_cond.mean(axis=1)
     gains = log_n - h_avg
     return {

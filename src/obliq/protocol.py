@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qmath
 from .encodings import EncodingFamily
-from .qmath import DEFAULT_TOL, SeededRng
+from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
 TRANSCRIPT_VERSION = 1
 _SUPPORT_EPS = 1e-12
@@ -272,7 +272,7 @@ def info_account(
         row_sums = probs.sum(axis=1)
         # P(i | j) = 1/k for every outcome, i.e. unit row sums
         if np.abs(row_sums - 1.0).max() > 1e-9:
-            raise AssertionError("row sums deviate from 1; encoder not unitary?")
+            raise BoundViolation("row sums deviate from 1; encoder not unitary?")
         h_cond[:, i] = qmath.entropy_rows(probs)
     h_avg = h_cond.mean(axis=1)
     log_n = float(np.log2(n))
@@ -414,7 +414,7 @@ class SessionTranscript:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 def run_session(
@@ -473,7 +473,7 @@ def _decode(strategy, family, outcome, announced, post, mask):
         if announced == strategy.index:
             d = int(np.argmax(post))
             if post[d] < 1.0 - 1e-9:
-                raise AssertionError("matched invert guess should pin the configuration")
+                raise BoundViolation("matched invert guess should pin the configuration")
             raw_items = item_blocks(d, k, m)
             items = [int(mask.unmask(v)) if mask is not None else int(v) for v in raw_items]
             value = 0

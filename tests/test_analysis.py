@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from obliq.analysis import (
     LeakageResult,
     OptimizerConfig,
     _cayley_step,
+    _haar_overlaps,
     _objective,
     _stacked_encoders,
+    _uncertainty_slacks,
     concentration_experiment,
     explore_condition_2prime,
     fit_power_law,
@@ -25,7 +28,17 @@ from obliq.analysis import (
 )
 from obliq.encodings import build_family, explicit_single_bit_family, mub_family, walsh_matrix
 from obliq.protocol import honest_basis, invert_basis
-from obliq.qmath import BoundViolation, SeededRng, h2, haar_unitary, is_unitary
+from obliq.qmath import (
+    BoundViolation,
+    SeededRng,
+    entropy_rows,
+    h2,
+    haar_unitaries,
+    haar_unitary,
+    is_unitary,
+    kron_chain,
+    random_states,
+)
 
 QUICK = OptimizerConfig(restarts=6, iterations=300)
 
@@ -68,8 +81,6 @@ class TestCondition2Prime:
         assert h2(e0) == 0.0
 
     def test_k3_exploratory_report(self):
-        from obliq.qmath import kron_chain
-
         fam = build_family(mub_family(3, 1))
         encs = [kron_chain(fam.factors(i)) for i in range(3)]
         rep = explore_condition_2prime(encs, 2000, SeededRng(5))
@@ -77,6 +88,58 @@ class TestCondition2Prime:
         assert rep.parameters["exploratory"]
         # empirically the sampled sums clear the pairwise threshold (k/2) log n
         assert rep.parameters["gap_pairwise_bits"] >= 0.0
+
+
+def _ks_critical(n: int, m: int, alpha: float = 1e-3) -> float:
+    """Asymptotic two-sample Kolmogorov-Smirnov critical value at level alpha."""
+    return np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt((n + m) / (n * m))
+
+
+class TestOneDrawSampling:
+    """The one-draw samplers have the law of the two-draw constructions they replace."""
+
+    def test_overlaps_match_two_draw_law(self):
+        ours = _haar_overlaps(16, 2000, SeededRng(41).derive(0))
+        stream = SeededRng(42)
+        a = haar_unitaries(16, 2000, stream)
+        b = haar_unitaries(16, 2000, stream)
+        ref = np.abs(a.conj().transpose(0, 2, 1) @ b).max(axis=(1, 2))
+        assert ks_2samp(ours, ref).statistic < _ks_critical(2000, 2000)
+
+    def test_concentration_experiment_uses_the_overlap_sampler(self):
+        grid = np.linspace(0.0, 1.0, 41)
+        rep = concentration_experiment(16, 2000, grid, SeededRng(41))
+        ours = _haar_overlaps(16, 2000, SeededRng(41).derive(0))
+        freqs = [row["frequency"] for row in rep.parameters["grid"][:-1]]
+        assert freqs == [float((ours >= t).mean()) for t in grid]
+
+    def test_entropic_slack_matches_two_draw_law(self):
+        ours = _uncertainty_slacks(4, 2000, SeededRng(43).derive(0))
+        stream = SeededRng(44)
+        a = haar_unitaries(4, 2000, stream)
+        b = haar_unitaries(4, 2000, stream)
+        u = random_states(4, 2000, stream)
+        ha = entropy_rows(np.abs(np.einsum("bij,bj->bi", a, u)) ** 2)
+        hb = entropy_rows(np.abs(np.einsum("bij,bj->bi", b, u)) ** 2)
+        ref = ha + hb + 2.0 * np.log2(np.abs(a @ b.conj().transpose(0, 2, 1)).max(axis=(1, 2)))
+        assert ks_2samp(ours, ref).statistic < _ks_critical(2000, 2000)
+
+    def test_verify_theorem1_reports_the_sampled_slack(self):
+        rep = verify_theorem1(4, 2000, SeededRng(43))
+        ours = _uncertainty_slacks(4, 2000, SeededRng(43).derive(0))
+        flat = rep.parameters["hadamard_case"]["min_slack"]
+        assert rep.min_slack == min(float(ours.min()), flat)
+
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (2, 2)])
+    def test_hk_entropy_sums_match_einsum(self, k, m):
+        fam = build_family(mub_family(k, m))
+        encs = [kron_chain(fam.factors(i)) for i in range(k)]
+        for seed in range(8):
+            # one state per run, so min_sum_bits is that state's entropy sum
+            rep = explore_condition_2prime(encs, 1, SeededRng(seed))
+            u = random_states(fam.n, 1, SeededRng(seed).derive(0))
+            ref = sum(entropy_rows(np.abs(np.einsum("ij,bj->bi", c, u)) ** 2) for c in encs)
+            assert abs(rep.parameters["min_sum_bits"] - float(ref[0])) <= 1e-12
 
 
 class TestParameterization:

@@ -1,11 +1,15 @@
 """Command-line contract: flags, exit codes, deterministic outputs."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliq import analysis
-from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
 
 
 def run(argv, capsys):
@@ -159,6 +163,26 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(["verify", "--suite", "nope", "--seed", "1"], capsys)
         assert code == EXIT_USAGE
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in the output")
+
+
+class TestStrictJson:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        suite=st.sampled_from(VERIFY_SUITES),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_verify_output_is_strict_json(self, suite, trials, seed):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--suite", suite, "--trials", str(trials), "--seed", str(seed)])
+        assert code == EXIT_OK
+        reports = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert reports and all(r["trials"] >= 1 for r in reports)
 
 
 class TestScan:

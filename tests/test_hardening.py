@@ -16,7 +16,7 @@ from obliq.hardening import (
     xor_split,
 )
 from obliq.protocol import DatabaseState, honest_basis, run_session
-from obliq.qmath import SeededRng
+from obliq.qmath import BoundViolation, SeededRng
 
 
 def _slow_gf_mul(a: int, b: int, modulus: int) -> int:
@@ -201,6 +201,14 @@ class TestGuessAttack:
         for r in (1, 2):
             rep = xor_guess_attack(fam, db, r, 2000, SeededRng(100 + r))
             assert rep["within_3_sigma"], rep
+
+    def test_failed_reconstruction_is_a_bound_violation(self, monkeypatch):
+        fam = walsh_family(2)
+        column = fam.encode_column
+        # corrupt: the vendor sends the state of a neighbouring configuration
+        monkeypatch.setattr(fam, "encode_column", lambda i, d: column(i, d ^ 1))
+        with pytest.raises(BoundViolation, match="reconstruct"):
+            xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
 
 
 class TestMaskedSession:

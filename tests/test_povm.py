@@ -15,7 +15,7 @@ from obliq.povm import (
     validate_povm,
 )
 from obliq.protocol import custom_basis, honest_basis, outcome_distribution, posterior
-from obliq.qmath import SeededRng, haar_unitary, random_state
+from obliq.qmath import BoundViolation, SeededRng, haar_unitary, random_state, shannon_entropy
 
 S = np.sqrt(0.5)
 
@@ -177,6 +177,30 @@ class TestPovmPosterior:
                 float((np.abs(r_op @ explicit.encoder(i)) ** 2).sum()) for i in range(2)
             ]
             assert abs(traces[0] - traces[1]) <= 1e-12 * max(1.0, traces[0])
+
+
+class TestGainAccount:
+    @pytest.mark.parametrize(
+        "family", [explicit_single_bit_family(), build_family(mub_family(2, 2))], ids=["explicit", "mub22"]
+    )
+    def test_matches_per_pair_posteriors(self, family):
+        root = SeededRng(88)
+        for t in range(5):
+            p = random_povm(family.n, 3 + t, root.derive(t))
+            acct = povm_gain_account(p, family)
+            for j in range(len(p)):
+                for i in range(family.k):
+                    expected = shannon_entropy(povm_posterior(p, family, i, j))
+                    assert abs(acct["h_cond"][j, i] - expected) <= 1e-12
+
+    def test_normalizer_mismatch_is_a_bound_violation(self):
+        fam = explicit_single_bit_family()
+        fam._dense_cache[1] = 1.1 * fam.encoder(1)  # corrupt: E_1 no longer unitary
+        p = random_povm(4, 3, SeededRng(89))
+        with pytest.raises(BoundViolation, match="normalizer"):
+            povm_gain_account(p, fam)
+        with pytest.raises(BoundViolation):
+            povm_posterior(p, fam, 0, 0)
 
 
 class TestEntropyBound:

@@ -24,7 +24,8 @@ from obliq.protocol import (
     sample_outcome,
     vendor_encode,
 )
-from obliq.qmath import SeededRng, entropy_rows, haar_unitary, is_unitary
+from obliq.protocol import _decode
+from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, is_unitary
 
 S = np.sqrt(0.5)
 
@@ -185,6 +186,19 @@ class TestInfoAccount:
         for t in range(200):
             acct = info_account(custom_basis(haar_unitary(4, rng.derive(t))), explicit)
             assert acct.gain_worst <= 1.0 + 1e-9
+
+
+class TestBoundViolations:
+    def test_info_account_row_sums(self):
+        fam = explicit_single_bit_family()
+        fam._dense_cache[1] = 1.1 * fam.encoder(1)  # corrupt: E_1 no longer unitary
+        with pytest.raises(BoundViolation, match="row sums"):
+            info_account(honest_basis(fam, 0), fam)
+
+    def test_matched_invert_guess_must_pin_the_configuration(self, explicit):
+        flat = np.full(4, 0.25)  # corrupt posterior: no configuration pinned
+        with pytest.raises(BoundViolation, match="pin"):
+            _decode(invert_basis(explicit, 0), explicit, 0, 0, flat, None)
 
 
 class TestHonestBasis:
