@@ -75,7 +75,6 @@ from .qmath import (
     linf_overlap,
     rotation_permutation,
     shannon_entropy,
-    tensor_product,
 )
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ import numpy as np
 import scipy.linalg
 
 from . import qmath
-from .encodings import EncodingFamily, build_family, mub_family, random_family, walsh_matrix
+from .encodings import EncodingFamily, build_family, check_desk_cell, mub_family, random_family, walsh_matrix
 from .povm import povm_entropy_bound_check, random_povm
-from .protocol import honest_basis, honest_leakage, invert_basis
+from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs
 from .qmath import BoundViolation, SeededRng
 
 _CHUNK = 2048
@@ -359,8 +359,7 @@ def scan_cells(k_values, m_values) -> list:
     cells = []
     for k in k_values:
         for m in m_values:
-            if k < 2 or m < 1 or k * m > 12:
-                raise ValueError(f"cell (k={k}, m={m}) is off the desk-scale cap k>=2, m>=1, km<=12")
+            check_desk_cell(k, m)
             if k <= (1 << m) + 1:
                 cells.append((k, m))
     if not cells:
@@ -489,7 +488,6 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
     n, k = family.n, family.k
     cap = k * family.m / 2.0
     log_n = float(np.log2(n))
-    encoders = np.stack([family.encoder(i) for i in range(k)])
     min_slack = np.inf
     worst_expected = -np.inf
     violations = 0
@@ -499,10 +497,7 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
     while done < trials:
         count = min(chunk, trials - done)
         mats = qmath.haar_unitaries(n, count, stream)
-        h_sum = np.zeros((count, n))
-        for i in range(k):
-            probs = np.abs(mats @ encoders[i]) ** 2
-            h_sum += qmath.entropy_rows(probs)
+        h_sum = sum(qmath.entropy_rows(outcome_probs(mats, family, i)) for i in range(k))
         gains = log_n - h_sum / k  # per outcome
         slack = cap - gains
         min_slack = min(min_slack, float(slack.min()))

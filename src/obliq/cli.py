@@ -19,6 +19,7 @@ from . import analysis, hardening, protocol, qmath
 from .analysis import OptimizerConfig
 from .encodings import (
     build_family,
+    check_desk_cell,
     cyclic_family,
     explicit_single_bit_family,
     mub_family,
@@ -27,7 +28,7 @@ from .encodings import (
     walsh_family,
     walsh_matrix,
 )
-from .protocol import DatabaseState, honest_basis, invert_basis, parity_basis, run_session
+from .protocol import DatabaseState, honest_basis, invert_basis, outcome_probs, parity_basis, run_session
 from .qmath import BoundViolation, SeededRng
 
 EXIT_OK = 0
@@ -225,10 +226,10 @@ def cmd_demo(args) -> int:
 
 
 def cmd_session(args) -> int:
-    if args.k < 2 or args.m < 1:
-        raise UsageError("need --k >= 2 and --m >= 1")
-    if args.k * args.m > 12:
-        raise UsageError(f"k*m = {args.k * args.m} exceeds the desk-scale cap of 12")
+    try:
+        check_desk_cell(args.k, args.m)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rng = SeededRng(args.seed)
     family = _make_family(args, rng.derive(0))
     db_value = _parse_db(args.db, args.k, args.m)
@@ -247,42 +248,34 @@ def cmd_session(args) -> int:
     if args.r < 1:
         raise UsageError("--r must be >= 1")
     if args.r == 1:
-        if mask is None:
-            transcript = run_session(db, family, strategy, rng.derive(1))
-        else:
-            transcript = hardening.masked_session(db, family, mask, strategy, rng.derive(1))
-        payload = json.dumps(transcript.to_dict(), indent=2, allow_nan=False) + "\n"
-        return _write_output(payload, args.out)
-
-    # share-split rounds: each round is an independent session on one pair
-    if args.k != 2:
-        raise UsageError("--r > 1 (share splitting) requires --k 2")
-    shares = hardening.xor_split(db.items[0], db.items[1], args.r, args.m, rng.derive(3))
-    rounds = []
-    decoded_parts = []
-    for t, (s0, s1) in enumerate(shares.pairs):
-        round_db = DatabaseState(2, args.m, (s0, s1))
-        if mask is None:
-            tr = run_session(round_db, family, strategy, rng.derive(4 + t))
-        else:
-            tr = hardening.masked_session(round_db, family, mask, strategy, rng.derive(4 + t))
-        rounds.append(tr.to_dict())
-        decoded_parts.append(tr.decoded)
-    decoded = None
-    if args.strategy == "honest":
-        acc = 0
-        for part in decoded_parts:
-            acc ^= part["value"]
-        decoded = {"kind": "item", "index": args.choice, "value": acc}
-    doc = {
-        "version": protocol.TRANSCRIPT_VERSION,
-        "k": args.k,
-        "m": args.m,
-        "xor_rounds": args.r,
-        "rounds": rounds,
-        "decoded": decoded,
-        "seed": [rng.seed, rng.stream],
-    }
+        sessions = [(db, rng.derive(1))]
+    else:
+        # share-split rounds: each round is an independent session on one pair
+        if args.k != 2:
+            raise UsageError("--r > 1 (share splitting) requires --k 2")
+        shares = hardening.xor_split(db.items[0], db.items[1], args.r, args.m, rng.derive(3))
+        sessions = [
+            (DatabaseState(2, args.m, pair), rng.derive(4 + t)) for t, pair in enumerate(shares.pairs)
+        ]
+    rounds = [run_session(d, family, strategy, stream, mask=mask) for d, stream in sessions]
+    if args.r == 1:
+        doc = rounds[0].to_dict()
+    else:
+        decoded = None
+        if args.strategy == "honest":
+            acc = 0
+            for tr in rounds:
+                acc ^= tr.decoded["value"]
+            decoded = {"kind": "item", "index": args.choice, "value": acc}
+        doc = {
+            "version": protocol.TRANSCRIPT_VERSION,
+            "k": args.k,
+            "m": args.m,
+            "xor_rounds": args.r,
+            "rounds": [tr.to_dict() for tr in rounds],
+            "decoded": decoded,
+            "seed": [rng.seed, rng.stream],
+        }
     return _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
 
 
@@ -359,7 +352,7 @@ def _completeness_violations(family) -> int:
         basis = honest_basis(family, j)
         mat = basis.matrix
         for i in range(k):
-            probs = np.abs(mat @ family.encoder(i)) ** 2
+            probs = outcome_probs(mat, family, i)
             decoded = np.array([protocol.decode_item(o, i, j, k, m) for o in range(n)])
             items_j = np.array([protocol.item_blocks(d, k, m)[j] for d in range(n)])
             support = probs > 1e-18

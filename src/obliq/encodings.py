@@ -32,6 +32,20 @@ CYCLIC_QUBIT = np.exp(1j * np.pi / 12) * ALPHA_2
 
 VALID_KINDS = ("walsh", "mub", "cyclic", "random", "tensorized", "explicit")
 
+# Desk-scale limits.  Every command stays within k*m <= MAX_KM, so the joint
+# space never exceeds MAX_DENSE_DIM; dense encoders are certified at build up
+# to CERTIFY_DIM and cached up to CACHE_DIM.
+MAX_KM = 12
+MAX_DENSE_DIM = 1 << MAX_KM
+CERTIFY_DIM = 256
+CACHE_DIM = 1024
+
+
+def check_desk_cell(k: int, m: int) -> None:
+    """ValueError unless k >= 2, m >= 1 and k*m <= MAX_KM."""
+    if k < 2 or m < 1 or k * m > MAX_KM:
+        raise ValueError(f"cell (k={k}, m={m}) is off the desk-scale cap k>=2, m>=1, km<={MAX_KM}")
+
 
 class CertificationError(RuntimeError):
     """A constructed family failed its numerical certification."""
@@ -94,14 +108,8 @@ class ItemBasisFamily:
 
     def _certify_kind(self):
         if self.kind == "mub":
-            for i in range(self.k):
-                for j in range(self.k):
-                    if i != j and not qmath.is_hadamard(
-                        self.matrices[i].conj().T @ self.matrices[j], DEFAULT_TOL
-                    ):
-                        raise CertificationError(
-                            f"mub family: A_{i}^dag A_{j} is not flat"
-                        )
+            if not self.pairwise_hadamard:
+                raise CertificationError("mub family: some A_i^dag A_j is not flat")
         elif self.kind == "cyclic":
             a1 = self.matrices[1]
             for i in range(self.k):
@@ -136,12 +144,9 @@ class EncodingFamily:
     pairwise_hadamard: bool = field(init=False)
     _dense_cache: dict = field(init=False, default_factory=dict, repr=False)
 
-    # dense matrices are only materialized up to this dimension
-    MAX_DENSE_DIM = 4096
-
     def __post_init__(self):
         self.pairwise_hadamard = self.basis.pairwise_hadamard
-        if self.n <= 256:
+        if self.n <= CERTIFY_DIM:
             for i in range(self.k):
                 if not qmath.is_unitary(self.encoder(i), DEFAULT_TOL):
                     raise CertificationError(f"encoder E_{i} failed unitarity")
@@ -170,9 +175,9 @@ class EncodingFamily:
         return tuple(mats[(i + r) % self.k] for r in range(self.k))
 
     def _check_dense(self):
-        if self.n > self.MAX_DENSE_DIM:
+        if self.n > MAX_DENSE_DIM:
             raise ValueError(
-                f"dimension {self.n} exceeds the dense-operation cap {self.MAX_DENSE_DIM}"
+                f"dimension {self.n} exceeds the dense-operation cap {MAX_DENSE_DIM}"
             )
 
     def encoder(self, i: int) -> np.ndarray:
@@ -182,7 +187,7 @@ class EncodingFamily:
             return self._dense_cache[i]
         c = qmath.kron_chain(self.factors(i))
         e = c[:, qmath.rotation_index_map(self.k, self.m, i)]
-        if self.n <= 1024:
+        if self.n <= CACHE_DIM:
             e.setflags(write=False)
             self._dense_cache[i] = e
         return e
@@ -193,17 +198,12 @@ class EncodingFamily:
         if not 0 <= d < self.n:
             raise ValueError(f"configuration index {d} out of range")
         rot = int(qmath.rotation_index_map(self.k, self.m, i)[d])
-        mask = (1 << self.m) - 1
-        col = np.ones(1, dtype=complex)
-        for r, f in enumerate(self.factors(i)):
-            block = (rot >> (self.m * (self.k - 1 - r))) & mask
-            col = np.kron(col, f[:, block])
-        return col
+        return qmath.kron_row([f.T for f in self.factors(i)], rot)
 
     def vec_times_encoder(self, vec: np.ndarray, i: int) -> np.ndarray:
         """Row-vector product vec @ E_i via the Kronecker structure."""
         self._check_dense()
-        w = qmath.vec_kron_apply(vec, self.factors(i))
+        w = qmath.kron_apply([f.T for f in self.factors(i)], vec)
         return w[qmath.rotation_index_map(self.k, self.m, i)]
 
     def descriptor(self) -> dict:

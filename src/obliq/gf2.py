@@ -134,16 +134,3 @@ def inverse(a, m: int, modulus: int | None = None):
     if np.any(aa == 0):
         raise ZeroDivisionError("zero has no inverse in GF(2^m)")
     return power(a, (1 << m) - 2, m, modulus)
-
-
-def trace(a, m: int, modulus: int | None = None):
-    """GF(2) trace a + a^2 + ... + a^(2^(m-1)); broadcasts over arrays."""
-    mod = irreducible_poly(m) if modulus is None else modulus
-    acc = np.asarray(a, dtype=np.int64).copy()
-    frob = np.asarray(a, dtype=np.int64).copy()
-    for _ in range(m - 1):
-        frob = np.asarray(mul(frob, frob, m, mod), dtype=np.int64)
-        acc = acc ^ frob
-    if acc.ndim == 0:
-        return int(acc)
-    return acc

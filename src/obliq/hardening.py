@@ -136,36 +136,20 @@ def xor_guess_attack(
     bases = [invert_basis(family, g) for g in range(2)]
     successes = 0
     for t in range(trials):
-        stream = rng.derive(t).gen
-        shares = []
-        acc0, acc1 = 0, 0
-        for _ in range(r - 1):
-            s0, s1 = int(stream.integers(1 << m)), int(stream.integers(1 << m))
-            shares.append((s0, s1))
-            acc0 ^= s0
-            acc1 ^= s1
-        shares.append((acc0 ^ db.items[0], acc1 ^ db.items[1]))
-
+        stream = rng.derive(t)
+        shares = xor_split(db.items[0], db.items[1], r, m, stream)
         recovered = []
-        all_matched = True
-        for s0, s1 in shares:
-            i = int(stream.integers(2))
-            guess = int(stream.integers(2))
+        for pair in shares.pairs:
+            i = int(stream.gen.integers(2))
+            guess = int(stream.gen.integers(2))
             if i != guess:
-                all_matched = False
                 break
-            round_db = DatabaseState(2, m, (s0, s1))
-            state = protocol.vendor_encode(round_db, family, i)
-            dist = protocol.outcome_distribution(state, bases[guess])
-            outcome = protocol._sample_index(dist, stream)
-            post = protocol.posterior(bases[guess], family, i, outcome)
-            d = int(np.argmax(post))
+            state = protocol.vendor_encode(DatabaseState(2, m, pair), family, i)
+            outcome = protocol.sample_outcome(state, bases[guess], stream)
+            d = int(np.argmax(protocol.posterior(bases[guess], family, i, outcome)))
             recovered.append(tuple(protocol.item_blocks(d, 2, m)))
-        if all_matched:
-            got = (0, 0)
-            for s0, s1 in recovered:
-                got = (got[0] ^ s0, got[1] ^ s1)
-            if got != tuple(db.items):
+        else:  # every round's guess matched
+            if xor_reconstruct(XorShares(r, m, tuple(recovered))) != db.items:
                 raise BoundViolation("matched guesses must reconstruct the database")
             successes += 1
     freq = successes / trials
@@ -192,17 +176,12 @@ def masked_session(
     strategy: MeasurementBasis,
     rng: SeededRng,
 ) -> SessionTranscript:
-    """Run a session on the masked items; the announcement carries (a, b).
+    """`protocol.run_session` with `mask`: the announcement carries (a, b).
 
     The honest decode path inverts the mask, so an identity mask reproduces
     an unmasked session exactly except for the announcement payload.
     """
-    if family.k != 2 or db.k != 2:
-        raise ValueError("masking is defined for the k=2 scheme")
-    if mask.m != family.m:
-        raise ValueError("mask degree does not match the family")
-    masked = DatabaseState(db.k, db.m, tuple(mask.apply(v) for v in db.items))
-    return protocol._run_session(masked, family, strategy, rng, mask=mask)
+    return protocol.run_session(db, family, strategy, rng, mask=mask)
 
 
 def bit_targeting_audit(

@@ -120,18 +120,7 @@ class MeasurementBasis:
             raise ValueError(f"outcome index {j} out of range")
         if self.dense is not None:
             return self.dense[j]
-        jj = int(self.row_map[j]) if self.row_map is not None else j
-        # row jj of a Kronecker chain is the chain of factor rows, with the
-        # factor row indices given by the mixed-radix digits of jj
-        digits = []
-        rem = jj
-        for f in reversed(self.factors):
-            rem, digit = divmod(rem, f.shape[0])
-            digits.append(digit)
-        row = np.ones(1, dtype=complex)
-        for f, b in zip(self.factors, reversed(digits)):
-            row = np.kron(row, f[b])
-        return row
+        return qmath.kron_row(self.factors, int(self.row_map[j]) if self.row_map is not None else j)
 
     def label(self) -> dict:
         return {"kind": self.kind, "index": self.index}
@@ -205,12 +194,8 @@ def outcome_distribution(state: np.ndarray, basis: MeasurementBasis) -> np.ndarr
 
 def sample_outcome(state: np.ndarray, basis: MeasurementBasis, rng: SeededRng) -> int:
     """Draw one outcome index from the measurement distribution."""
-    return _sample_index(outcome_distribution(state, basis), rng.gen)
-
-
-def _sample_index(dist: np.ndarray, gen: np.random.Generator) -> int:
-    cum = np.cumsum(dist)
-    j = int(np.searchsorted(cum, gen.random(), side="right"))
+    dist = outcome_distribution(state, basis)
+    j = int(np.searchsorted(np.cumsum(dist), rng.gen.random(), side="right"))
     return min(j, dist.size - 1)
 
 
@@ -240,6 +225,18 @@ def posterior(
     return weighted / total
 
 
+def outcome_probs(mat: np.ndarray, family: EncodingFamily, i: int) -> np.ndarray:
+    """|M E_i|^2 for one measurement matrix M or a stack of them.
+
+    Row j is P(d | outcome j, announced i) under the uniform prior, so by
+    unitarity every row sums to 1; a deviation beyond 1e-9 is a BoundViolation.
+    """
+    probs = np.abs(mat @ family.encoder(i)) ** 2
+    if np.abs(probs.sum(axis=-1) - 1.0).max() > 1e-9:
+        raise BoundViolation("row sums deviate from 1; encoder not unitary?")
+    return probs
+
+
 @dataclass(frozen=True)
 class InfoAccount:
     """Per-outcome entropy table and the information-gain summaries (bits)."""
@@ -250,30 +247,17 @@ class InfoAccount:
     gain_expected: float  # outcome-weighted mean gain (weights 1/n)
 
 
-def info_account(
-    basis: MeasurementBasis,
-    family: EncodingFamily,
-    prior: np.ndarray | None = None,
-) -> InfoAccount:
+def info_account(basis: MeasurementBasis, family: EncodingFamily) -> InfoAccount:
     """Entropy accounting of a measurement against every encoding choice.
 
-    Only the uniform prior is supported; the averaging weights below are a
-    consequence of unitarity under that prior and are re-checked at runtime.
+    The prior is uniform; the averaging weights below are a consequence of
+    unitarity under that prior, re-checked at runtime by `outcome_probs`.
     """
     n, k = family.n, family.k
-    if prior is not None:
-        pr = qmath.as_distribution(prior)
-        if np.abs(pr - 1.0 / n).max() > DEFAULT_TOL:
-            raise ValueError("unsupported prior: info_account requires the uniform prior")
     mat = basis.matrix
     h_cond = np.empty((n, k))
     for i in range(k):
-        probs = np.abs(mat @ family.encoder(i)) ** 2
-        row_sums = probs.sum(axis=1)
-        # P(i | j) = 1/k for every outcome, i.e. unit row sums
-        if np.abs(row_sums - 1.0).max() > 1e-9:
-            raise BoundViolation("row sums deviate from 1; encoder not unitary?")
-        h_cond[:, i] = qmath.entropy_rows(probs)
+        h_cond[:, i] = qmath.entropy_rows(outcome_probs(mat, family, i))
     h_avg = h_cond.mean(axis=1)
     log_n = float(np.log2(n))
     gains = log_n - h_avg
@@ -422,24 +406,30 @@ def run_session(
     family: EncodingFamily,
     strategy: MeasurementBasis,
     rng: SeededRng,
+    mask=None,
 ) -> SessionTranscript:
-    """Execute encode -> transmit -> measure -> announce -> decode."""
-    return _run_session(db, family, strategy, rng, mask=None)
+    """Execute encode -> transmit -> measure -> announce -> decode.
 
-
-def _run_session(db, family, strategy, rng, mask):
+    With a GF(2^m) `mask` (a `hardening.GfMask`, k = 2 only) the vendor
+    encodes the masked items, the announcement carries the mask and the
+    decode inverts it.
+    """
+    if mask is not None:
+        if family.k != 2 or db.k != 2:
+            raise ValueError("masking is defined for the k=2 scheme")
+        if mask.m != family.m:
+            raise ValueError("mask degree does not match the family")
+        db = DatabaseState(db.k, db.m, tuple(mask.apply(v) for v in db.items))
     if strategy.dim != family.n:
         raise ValueError("strategy dimension does not match the family")
-    gen = rng.gen
-    i = int(gen.integers(family.k))
+    i = int(rng.gen.integers(family.k))
 
     builder = TranscriptBuilder(secret_encoding=i)
     state = vendor_encode(db, family, i)
     builder.record_state_sent(family.n)
 
     # the measurement step sees only the state, never the encoding index
-    dist = outcome_distribution(state, strategy)
-    outcome = _sample_index(dist, gen)
+    outcome = sample_outcome(state, strategy, rng)
     builder.record_measurement(strategy.label(), outcome)
 
     extra = {"mask": mask.payload()} if mask is not None else None

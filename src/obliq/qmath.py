@@ -80,15 +80,6 @@ def as_state(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor most significant."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("tensor factors must be finite")
-    return np.kron(a, b)
-
-
 def kron_chain(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
@@ -97,7 +88,10 @@ def kron_chain(factors) -> np.ndarray:
 
 
 def kron_apply(factors, vec: np.ndarray) -> np.ndarray:
-    """Apply (F_0 x F_1 x ... x F_{k-1}) to `vec` without forming the product."""
+    """Apply (F_0 x F_1 x ... x F_{k-1}) to `vec` without forming the product.
+
+    With transposed factors this is the row-vector product vec @ (F_0 x ... x F_{k-1}).
+    """
     dims = [f.shape[0] for f in factors]
     t = np.asarray(vec, dtype=complex).reshape(dims)
     for axis, f in enumerate(factors):
@@ -105,13 +99,20 @@ def kron_apply(factors, vec: np.ndarray) -> np.ndarray:
     return t.reshape(-1)
 
 
-def vec_kron_apply(vec: np.ndarray, factors) -> np.ndarray:
-    """Row-vector product vec @ (F_0 x F_1 x ... x F_{k-1})."""
-    dims = [f.shape[0] for f in factors]
-    t = np.asarray(vec, dtype=complex).reshape(dims)
-    for axis, f in enumerate(factors):
-        t = np.moveaxis(np.tensordot(t, np.asarray(f, complex), axes=(axis, 0)), -1, axis)
-    return t.reshape(-1)
+def kron_row(factors, index: int) -> np.ndarray:
+    """Row `index` of F_0 x ... x F_{k-1} without forming the product.
+
+    The row is the chain of the factor rows named by the mixed-radix digits of
+    `index`; with transposed factors it is column `index`.
+    """
+    digits = []
+    for f in reversed(factors):
+        index, digit = divmod(index, f.shape[0])
+        digits.append(digit)
+    row = np.ones(1, dtype=complex)
+    for f, b in zip(factors, reversed(digits)):
+        row = np.kron(row, f[b])
+    return row
 
 
 def is_unitary(mat, tol: float = DEFAULT_TOL) -> bool:

@@ -311,6 +311,12 @@ class TestMeasurementAudits:
         rep = povm_gain_audit(fam, 40, SeededRng(21))
         assert rep.violations == 0
 
+    def test_projective_audit_seeded_values(self):
+        # pinned figures: the audit's Haar draws and entropy sums must not move
+        rep = projective_gain_audit(build_family(mub_family(3, 2)), 300, SeededRng(4))
+        assert rep.min_slack == pytest.approx(2.17627055563126, abs=1e-12)
+        assert rep.parameters["worst_expected_gain"] == pytest.approx(0.6158824085120906, abs=1e-12)
+
 
 class TestWorkerControl:
     def test_env_cap_respected(self, monkeypatch):

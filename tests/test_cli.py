@@ -91,6 +91,19 @@ class TestSession:
         # honest decode still returns the original item (block 0 of 0x2A = 5)
         assert doc["decoded"]["value"] == 5
 
+    def test_masked_share_rounds_seeded_values(self, capsys):
+        # pinned figures for a masked, share-split session
+        code, out, _ = run(
+            ["session", "--k", "2", "--m", "3", "--family", "walsh", "--db", "2A", "--mask",
+             "--r", "4", "--choice", "1", "--seed", "12"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        rounds = [(r["outcome"], r["announced"], r["decoded"]["value"]) for r in doc["rounds"]]
+        assert rounds == [(27, 1, 1), (57, 1, 5), (9, 0, 3), (55, 0, 5)]
+        assert doc["decoded"] == {"kind": "item", "index": 1, "value": 2}
+
     def test_xor_rounds_document(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code, _, _ = run(

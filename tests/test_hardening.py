@@ -202,6 +202,15 @@ class TestGuessAttack:
             rep = xor_guess_attack(fam, db, r, 2000, SeededRng(100 + r))
             assert rep["within_3_sigma"], rep
 
+    def test_seeded_frequencies(self):
+        # pinned figures: each trial draws its shares, then per round the
+        # encoding, the guess and the outcome, all from one stream
+        fam, db = explicit_single_bit_family(), DatabaseState(2, 1, (1, 0))
+        for r, freq in ((1, 0.49833333333333335), (2, 0.25866666666666666), (3, 0.13)):
+            assert xor_guess_attack(fam, db, r, 3000, SeededRng(1000 + r))["frequency"] == freq
+        rep = xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 2, 2000, SeededRng(102))
+        assert rep["frequency"] == 0.243
+
     def test_failed_reconstruction_is_a_bound_violation(self, monkeypatch):
         fam = walsh_family(2)
         column = fam.encode_column

@@ -176,10 +176,6 @@ class TestInfoAccount:
         np.testing.assert_allclose(acct.h_cond, 2.0, atol=1e-9)
         assert acct.gain_expected == pytest.approx(0.0, abs=1e-9)
 
-    def test_rejects_nonuniform_prior(self, explicit):
-        with pytest.raises(ValueError, match="prior"):
-            info_account(honest_basis(explicit, 0), explicit, np.array([0.4, 0.2, 0.2, 0.2]))
-
     def test_gain_bound_random_bases(self, explicit):
         # pairwise-unbiased k=2 family: per-outcome gain <= (1/2) log n
         rng = SeededRng(33)

@@ -12,29 +12,31 @@ from obliq.qmath import (
     is_hadamard,
     is_unitary,
     kron_apply,
+    kron_chain,
+    kron_row,
     linf_overlap,
     rotation_index_map,
     rotation_permutation,
     shannon_entropy,
-    tensor_product,
-    vec_kron_apply,
 )
 
 W2 = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
 class TestTensorProduct:
+    """`kron_chain`, the package's tensor product of a factor list."""
+
     def test_identity_case(self):
-        np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(kron_chain([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_walsh_square_is_flat(self):
-        w4 = tensor_product(W2, W2)
+        w4 = kron_chain([W2, W2])
         assert np.allclose(np.abs(w4), 0.25 * 2)  # every entry magnitude 1/2
 
     def test_basis_vector_index_order(self):
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
-        out = tensor_product(e1, e0)
+        out = kron_chain([e1, e0])
         expected = np.zeros(4, dtype=complex)
         expected[2] = 1  # first factor most significant: index 1*2 + 0
         np.testing.assert_array_equal(out, expected)
@@ -42,13 +44,10 @@ class TestTensorProduct:
     def test_associativity(self):
         rng = SeededRng(42)
         a, b, c = (haar_unitary(2, rng.derive(i)) for i in range(3))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
+        left = kron_chain([kron_chain([a, b]), c])
+        right = kron_chain([a, kron_chain([b, c])])
         np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            tensor_product(np.array([[np.inf, 0], [0, 1]]), np.eye(2))
+        np.testing.assert_allclose(kron_chain([a, b, c]), left, atol=1e-12)
 
 
 class TestPredicates:
@@ -77,7 +76,16 @@ class TestPredicates:
         dense = np.kron(np.kron(factors[0], factors[1]), factors[2])
         vec = np.arange(8, dtype=complex) / 10.0
         np.testing.assert_allclose(kron_apply(factors, vec), dense @ vec, atol=1e-12)
-        np.testing.assert_allclose(vec_kron_apply(vec, factors), vec @ dense, atol=1e-12)
+        transposed = [f.T for f in factors]
+        np.testing.assert_allclose(kron_apply(transposed, vec), vec @ dense, atol=1e-12)
+
+    def test_kron_row_matches_dense(self):
+        rng = SeededRng(4)
+        factors = [haar_unitary(d, rng.derive(i)) for i, d in enumerate((2, 4, 2))]
+        dense = kron_chain(factors)
+        for j in range(16):
+            np.testing.assert_array_equal(kron_row(factors, j), dense[j])
+            np.testing.assert_array_equal(kron_row([f.T for f in factors], j), dense[:, j])
 
 
 class TestLinfOverlap:
