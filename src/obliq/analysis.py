@@ -176,7 +176,6 @@ def explore_condition_2prime(encoders, trials: int, rng: SeededRng) -> BoundRepo
 class OptimizerConfig:
     restarts: int = 32
     iterations: int = 2000
-    gain_tol: float = 1e-7
 
 
 @dataclass
@@ -250,6 +249,7 @@ _INV_LN2 = 1.0 / np.log(2.0)
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
 _MIN_STEP = 1e-12
 _KICK = 1e-3  # Frobenius norm of the skew perturbation of a structured start
+_GAIN_TOL = 1e-7  # a descent stops after a step that raises the expected gain by less (bits)
 
 
 def _objective(u: np.ndarray, encoders: np.ndarray):
@@ -322,7 +322,7 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     encoders = _stacked_encoders(family)
     structured = [honest_basis(family, j).matrix for j in range(k)]
     structured += [invert_basis(family, g).matrix for g in range(k)]
-    min_drop = config.gain_tol * k * n
+    min_drop = _GAIN_TOL * k * n
     best_f, best_idx, best_u = np.inf, 0, None
     for idx in range(config.restarts):
         stream = rng.derive(idx)

@@ -197,8 +197,8 @@ class EncodingFamily:
         self._check_dense()
         if not 0 <= d < self.n:
             raise ValueError(f"configuration index {d} out of range")
-        rot = int(qmath.rotation_index_map(self.k, self.m, i)[d])
-        return qmath.kron_row([f.T for f in self.factors(i)], rot)
+        columns = [f.T for f in self.factors(i)]
+        return qmath.kron_row(columns, qmath.rotate_blocks(d, self.k, self.m, i))
 
     def vec_times_encoder(self, vec: np.ndarray, i: int) -> np.ndarray:
         """Row-vector product vec @ E_i via the Kronecker structure."""
@@ -266,6 +266,16 @@ def cyclic_family(k: int, m: int) -> ItemBasisFamily:
     return fam
 
 
+def _max_pairwise_overlap(mats: tuple) -> float:
+    """max_{i != j} Linf(A_i^dag A_j) over a list of bases."""
+    return max(
+        qmath.linf_overlap(a.conj().T, b)
+        for i, a in enumerate(mats)
+        for j, b in enumerate(mats)
+        if i != j
+    )
+
+
 def random_family(k: int, m: int, rng: SeededRng) -> ItemBasisFamily:
     """k independent Haar unitaries; records the worst pairwise overlap."""
     if k < 2:
@@ -273,19 +283,13 @@ def random_family(k: int, m: int, rng: SeededRng) -> ItemBasisFamily:
     if m < 1:
         raise ValueError("random_family needs m >= 1")
     mats = tuple(qmath.haar_unitaries(1 << m, k, rng))
-    overlap = max(
-        qmath.linf_overlap(mats[i].conj().T, mats[j])
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    )
     return ItemBasisFamily(
         k=k,
         m=m,
         matrices=mats,
         kind="random",
         seed=(rng.seed, rng.stream),
-        max_pairwise_overlap=overlap,
+        max_pairwise_overlap=_max_pairwise_overlap(mats),
     )
 
 
@@ -305,12 +309,6 @@ def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily
         raise ValueError("tensorized_family needs k >= 2")
     blocks = qmath.haar_unitaries(r, k, rng)
     mats = tuple(tensor_power(b, m // log_r) for b in blocks)
-    overlap = max(
-        qmath.linf_overlap(mats[i].conj().T, mats[j])
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    )
     return ItemBasisFamily(
         k=k,
         m=m,
@@ -318,7 +316,7 @@ def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily
         kind="tensorized",
         seed=(rng.seed, rng.stream),
         tensor_block=r,
-        max_pairwise_overlap=overlap,
+        max_pairwise_overlap=_max_pairwise_overlap(mats),
     )
 
 
@@ -327,134 +325,44 @@ def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily
 #
 # For k <= 3 the family is the tensor power of the qubit triple
 # {I, ALPHA_1, ALPHA_2}.  For larger k the bases come from the Galois-ring
-# GR(4, m) phase construction: each basis is a diagonal matrix of fourth
-# roots of unity times the (field-structured) Walsh-Hadamard transform, and
-# the full set of 2^m + 1 bases is pairwise unbiased.
-
-
-def _hensel_lift(h: int, m: int) -> tuple:
-    """Lift an irreducible GF(2) polynomial to Z4 via one Graeffe step.
-
-    Returns monic coefficients (c_0..c_m) mod 4 of f with f == h (mod 2) and
-    every root a (2^m - 1)-th root of unity.
-    """
-    coeffs = [(h >> i) & 1 for i in range(m + 1)]
-    even = [c if i % 2 == 0 else 0 for i, c in enumerate(coeffs)]
-    odd = [c if i % 2 == 1 else 0 for i, c in enumerate(coeffs)]
-
-    def _square(p):
-        out = [0] * (2 * len(p) - 1)
-        for i, pi in enumerate(p):
-            for j, pj in enumerate(p):
-                out[i + j] += pi * pj
-        return out
-
-    esq, osq = _square(even), _square(odd)
-    size = max(len(esq), len(osq))
-    diff = [(esq[i] if i < len(esq) else 0) - (osq[i] if i < len(osq) else 0) for i in range(size)]
-    # even polynomial in x; read off coefficients of x^(2t)
-    lifted = [diff[2 * t] % 4 for t in range(m + 1)]
-    if lifted[m] == 3:
-        lifted = [(-c) % 4 for c in lifted]
-    if lifted[m] != 1:
-        raise CertificationError("Galois-ring lift is not monic")
-    return tuple(lifted)
-
-
-def _ring_mul(a: tuple, b: tuple, f: tuple, m: int) -> tuple:
-    """Product in Z4[x]/(f), coefficients mod 4."""
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % 4
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
-        if c:
-            for t in range(m + 1):
-                prod[d - m + t] = (prod[d - m + t] - c * f[t]) % 4
-    return tuple(prod[:m])
-
-
-class _GaloisRing:
-    """GR(4, m) with its Teichmueller set and trace, for the phase bases."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.order = (1 << m) - 1
-        h = gf2.primitive_poly(m)
-        self.f = _hensel_lift(h, m)
-        one = tuple([1] + [0] * (m - 1))
-        xi = tuple([0, 1] + [0] * (m - 2)) if m >= 2 else (3 % 4,)
-        if m == 1:
-            # f = y + 3, so the root is 1 and the Teichmueller group is {1}
-            xi = one
-        powers = [one]
-        for _ in range(self.order - 1):
-            powers.append(_ring_mul(powers[-1], xi, self.f, m))
-        self.powers = powers
-        self._certify(one, xi)
-        # trace of xi^e, for every exponent
-        self.trace = np.array([self._trace_of_power(e) for e in range(self.order)], dtype=np.int64)
-        # index of xi^e in the computational labeling (mod-2 reduction bits)
-        self.index_of_power = np.array(
-            [self._index(powers[e]) for e in range(self.order)], dtype=np.int64
-        )
-
-    def _certify(self, one, xi):
-        closing = _ring_mul(self.powers[-1], xi, self.f, self.m)
-        if closing != one:
-            raise CertificationError("Teichmueller generator does not close its cycle")
-        if len(set(self.powers)) != self.order:
-            raise CertificationError("Teichmueller powers are not distinct")
-        reductions = {self._index(p) for p in self.powers}
-        if len(reductions) != self.order or 0 in reductions:
-            raise CertificationError("Teichmueller set does not reduce onto the field")
-
-    @staticmethod
-    def _index(elt: tuple) -> int:
-        return sum((c & 1) << j for j, c in enumerate(elt))
-
-    def _trace_of_power(self, e: int) -> int:
-        acc = [0] * self.m
-        for j in range(self.m):
-            p = self.powers[(e << j) % self.order]
-            acc = [(x + y) % 4 for x, y in zip(acc, p)]
-        if any(acc[1:]):
-            raise CertificationError("ring trace did not land in Z4")
-        return acc[0]
+# GR(4, m) phase construction (Klappenecker & Roetteler, quant-ph/0309120):
+# each basis is a diagonal matrix of fourth roots of unity times the
+# (field-structured) Walsh-Hadamard transform, and the full set of 2^m + 1
+# bases is pairwise unbiased.
+#
+# The phases need one Z4 value per field element c: T(c), the GR(4, m) trace
+# of the Teichmueller lift of c.  T(c) = tr(c) + 2 e2(c) mod 4, where tr and e2
+# are the first and second elementary symmetric functions of the conjugates
+# c, c^2, ..., c^(2^(m-1)), both in GF(2).  This holds because the lift's
+# conjugates are the lifts of c's conjugates, so squaring only permutes them
+# and the trace s satisfies s^2 = s + 2 e2 in Z4.  That puts s in {0, 1} when
+# e2 = 0 and in {2, 3} when e2 = 1, and s = tr(c) mod 2 picks the one value.
 
 
 def _gr4_phase_bases(m: int) -> list:
     """The 2^m pairwise-unbiased phase bases of GR(4, m), as matrices.
 
-    Basis a (a ranging over the Teichmueller set) has entries
-    i^(Tr(ax) + 2 Tr(bx)) / sqrt(2^m) at row index(x), column index(b).
+    Basis a (a = 0, 1, x, x^2, ... in GF(2^m) on its primitive modulus) has
+    entries i^(T(ax) + 2 tr(bx)) / sqrt(2^m) at row x, column b.
     """
-    ring = _GaloisRing(m)
     q = 1 << m
-    order = ring.order
+    elems = np.arange(q, dtype=np.int64)
+    prod = gf2.mul(elems[:, None], elems[None, :], m, gf2.primitive_poly(m))
+    conj = [elems]
+    for _ in range(m - 1):
+        conj.append(prod[conj[-1], conj[-1]])
+    tr = np.bitwise_xor.reduce(conj)
+    e2 = np.zeros(q, dtype=np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            e2 ^= prod[conj[i], conj[j]]
+    teichmueller_trace = tr + 2 * e2
+    powers = [0, 1]
+    for _ in range(q - 2):
+        powers.append(prod[powers[-1], 2])
     i_pow = np.array([1, 1j, -1, -1j], dtype=complex)
     scale = 1.0 / np.sqrt(q)
-
-    # exponent of each nonzero row/column label, in computational order
-    exp_of_index = np.full(q, -1, dtype=np.int64)
-    exp_of_index[ring.index_of_power] = np.arange(order)
-
-    nonzero = np.arange(1, q)
-    ex = exp_of_index[nonzero]
-    # 2 * Tr(b x) term for nonzero x (rows) and nonzero b (columns)
-    cross = 2 * ring.trace[(ex[:, None] + ex[None, :]) % order]
-
-    bases = []
-    for a_exp in [None] + list(range(order)):  # None encodes a = 0
-        phase = np.zeros((q, q), dtype=np.int64)
-        phase[np.ix_(nonzero, nonzero)] = cross
-        if a_exp is not None:
-            phase[nonzero, :] += ring.trace[(ex + a_exp) % order][:, None]
-        mat = scale * i_pow[phase % 4]
-        bases.append(mat)
-    return bases
+    return [scale * i_pow[(teichmueller_trace[prod[a]][:, None] + 2 * tr[prod]) % 4] for a in powers]
 
 
 def mub_family(k: int, m: int) -> ItemBasisFamily:

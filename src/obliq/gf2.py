@@ -18,22 +18,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mulmod2(a: int, b: int, mod: int = 0) -> int:
-    """Carry-less product of two GF(2) polynomials, reduced by `mod` if given."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    if mod:
-        dm = poly_degree(mod)
-        for d in range(poly_degree(acc), dm - 1, -1):
-            if acc >> d & 1:
-                acc ^= mod << (d - dm)
-    return acc
-
-
 def is_irreducible(p: int) -> bool:
     """Trial division by every polynomial of degree 1..deg(p)//2."""
     deg = poly_degree(p)
@@ -83,12 +67,11 @@ def primitive_poly(m: int) -> int:
 
 def _element_order(a: int, mod: int, m: int) -> int:
     order = (1 << m) - 1
-    acc = a
-    for steps in range(1, order + 1):
-        if acc == 1:
-            return steps
-        acc = poly_mulmod2(acc, a, mod)
-    return 0
+    powers = np.array([a], dtype=np.int64)  # powers[j] = a^(j+1); each product doubles it
+    while powers.size < order:
+        powers = np.concatenate([powers, mul(powers, powers[-1], m, mod)])
+    ones = np.flatnonzero(powers[:order] == 1)
+    return int(ones[0]) + 1 if ones.size else 0
 
 
 # ---------------------------------------------------------------------------

@@ -226,15 +226,12 @@ def rotation_index_map(k: int, m: int, i: int) -> np.ndarray:
     """Index map sending blocks (d_0..d_{k-1}) to (d_i..d_{k-1} d_0..d_{i-1})."""
     if not 0 <= i < k:
         raise ValueError(f"rotation offset {i} out of range for k={k}")
-    n = 1 << (k * m)
-    d = np.arange(n)
-    mask = (1 << m) - 1
-    blocks = [(d >> (m * (k - 1 - r))) & mask for r in range(k)]
-    rotated = blocks[i:] + blocks[:i]
-    out = np.zeros(n, dtype=np.int64)
-    for r, block in enumerate(rotated):
-        out |= block << (m * (k - 1 - r))
-    return out
+    return rotate_blocks(np.arange(1 << (k * m), dtype=np.int64), k, m, i)
+
+
+def rotate_blocks(d, k: int, m: int, i: int):
+    """Left-rotate the k m-bit blocks of index d by i; ints or integer arrays."""
+    return ((d << (m * i)) | (d >> (m * (k - i)))) & ((1 << (k * m)) - 1)
 
 
 def rotation_permutation(k: int, m: int, i: int) -> np.ndarray:

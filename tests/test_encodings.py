@@ -1,5 +1,6 @@
 """Family constructions: explicit, walsh, mub, cyclic, random, tensorized."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -192,6 +193,19 @@ class TestMubFamily:
     def test_m4_large_family(self):
         fam = mub_family(17, 4)  # the full tower at m=4
         assert fam.pairwise_hadamard
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (2, "9aafe28ad723b8a3d2393dbf26e5b13be3f2cfa4b1aa5ca1e7271e3e1bcd6560"),
+            (3, "0f2c24406d06f3eb270d5a389ff70d73021ba4c3adb7e23e5a77368fce4b9053"),
+            (4, "6fd1dc0bcf909503e2c24aae2efc44d9e93889b6abfbc2ead85a94199b191101"),
+            (5, "edc274ee897010feb489ddf048015dfc50deca8a7b159e2bb12c1e44c12f31e1"),
+        ],
+    )
+    def test_full_tower_bits_are_pinned(self, m, digest):
+        mats = mub_family((1 << m) + 1, m).matrices
+        assert hashlib.sha256(np.stack(mats).tobytes()).hexdigest() == digest
 
 
 class TestCyclicFamily:

@@ -66,6 +66,12 @@ class TestModuli:
         assert gf2.irreducible_poly(3) == 0b1011  # x^3 + x + 1
         assert gf2.irreducible_poly(8) == 0x11B
 
+    def test_primitive_moduli(self):
+        # x^8 + x^4 + x^3 + x + 1 (0x11B) is irreducible, but its root has order 51
+        expected = [0b10, 0b111, 0b1011, 0b10011, 0b100101, 0b1000011, 0b10000011, 0x11D, 0x211, 0x409]
+        assert [gf2.primitive_poly(m) for m in range(1, 11)] == expected
+        assert gf2._element_order(2, 0x11B, 8) == 51
+
 
 class TestGfArithmetic:
     def test_m3_worked_product(self):

@@ -4,8 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from obliq.encodings import build_family, explicit_single_bit_family, mub_family, random_family, walsh_family
+from obliq.encodings import (
+    build_family,
+    cyclic_family,
+    explicit_single_bit_family,
+    mub_family,
+    random_family,
+    tensorized_family,
+    walsh_family,
+)
 from obliq.protocol import (
     DatabaseState,
     SessionOrderError,
@@ -321,6 +331,51 @@ class TestRunSession:
             else:
                 assert tr.decoded == {"kind": "none"}
         assert seen == {"config", "none"}
+
+
+# every (kind, k, m, r) with km <= 8, so each encoder is certified at build
+ROUND_TRIP_CELLS = (
+    [("walsh", 2, m, None) for m in range(1, 5)]
+    + [("cyclic", 3, m, None) for m in (1, 2)]
+    + [("mub", k, m, None) for m in range(1, 5) for k in range(2, min(8 // m, (1 << m) + 1) + 1)]
+    + [("random", k, m, None) for m in range(1, 5) for k in range(2, 8 // m + 1)]
+    + [
+        ("tensorized", k, m, r)
+        for r, log_r in ((2, 1), (4, 2))
+        for m in range(log_r, 5, log_r)
+        for k in range(2, 8 // m + 1)
+    ]
+)
+
+
+def _round_trip_family(kind, k, m, r, rng):
+    if kind == "walsh":
+        return walsh_family(m)
+    if kind == "cyclic":
+        return build_family(cyclic_family(k, m))
+    if kind == "mub":
+        return build_family(mub_family(k, m))
+    if kind == "random":
+        return build_family(random_family(k, m, rng))
+    return build_family(tensorized_family(k, m, r, rng))
+
+
+@st.composite
+def round_trip_cases(draw):
+    kind, k, m, r = draw(st.sampled_from(ROUND_TRIP_CELLS))
+    items = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k)))
+    return kind, k, m, r, items, draw(st.integers(0, k - 1))
+
+
+class TestHonestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(case=round_trip_cases(), seed=st.integers(0, 2**31 - 1))
+    @example(case=("mub", 4, 2, None, (3, 0, 2, 1), 2), seed=0)
+    def test_honest_session_decodes_the_chosen_item(self, case, seed):
+        kind, k, m, r, items, choice = case
+        fam = _round_trip_family(kind, k, m, r, SeededRng(seed, 1))
+        tr = run_session(DatabaseState(k, m, items), fam, honest_basis(fam, choice), SeededRng(seed))
+        assert tr.decoded == {"kind": "item", "index": choice, "value": items[choice]}
 
 
 class TestEventOrder:

@@ -15,6 +15,7 @@ from obliq.qmath import (
     kron_chain,
     kron_row,
     linf_overlap,
+    rotate_blocks,
     rotation_index_map,
     rotation_permutation,
     shannon_entropy,
@@ -209,6 +210,18 @@ class TestRotationPermutation:
             bits = [(d >> 2) & 1, (d >> 1) & 1, d & 1]
             rolled = bits[1:] + bits[:1]
             assert rot[d] == (rolled[0] << 2) | (rolled[1] << 1) | rolled[2]
+
+    def test_rotate_blocks_matches_block_list(self):
+        # reference: split d into its k m-bit blocks, rotate the list, repack
+        for k, m in ((2, 1), (2, 3), (3, 2), (4, 1), (4, 3)):
+            d = np.arange(1 << (k * m))
+            blocks = [(d >> (m * (k - 1 - r))) & ((1 << m) - 1) for r in range(k)]
+            for i in range(k):
+                rolled = blocks[i:] + blocks[:i]
+                expected = sum(b << (m * (k - 1 - r)) for r, b in enumerate(rolled))
+                np.testing.assert_array_equal(rotate_blocks(d, k, m, i), expected)
+                np.testing.assert_array_equal(rotation_index_map(k, m, i), expected)
+                assert rotate_blocks(int(d[-3]), k, m, i) == expected[-3]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
