@@ -30,8 +30,6 @@ from .hardening import (
     GfMask,
     XorShares,
     bit_targeting_audit,
-    gf_mask,
-    gf_unmask,
     masked_session,
     xor_guess_attack,
     xor_reconstruct,
@@ -39,9 +37,7 @@ from .hardening import (
 )
 from .povm import (
     Povm,
-    measure_povm,
     povm_entropy_bound_check,
-    povm_from_basis,
     povm_gain_account,
     povm_posterior,
     random_povm,
@@ -53,7 +49,6 @@ from .protocol import (
     MeasurementBasis,
     SessionOrderError,
     SessionTranscript,
-    custom_basis,
     decode_item,
     honest_basis,
     honest_leakage,
@@ -68,13 +63,9 @@ from .protocol import (
 )
 from .qmath import (
     SeededRng,
-    h2,
     haar_unitary,
     is_hadamard,
     is_unitary,
-    linf_overlap,
-    rotation_permutation,
-    shannon_entropy,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import numpy as np
 from . import analysis, hardening, protocol, qmath
 from .analysis import OptimizerConfig
 from .encodings import (
+    CERTIFY_DIM,
     build_family,
     check_desk_cell,
     cyclic_family,
@@ -37,6 +38,9 @@ EXIT_VIOLATION = 2
 EXIT_IO = 3
 
 VERIFY_SUITES = ("entropic", "povm", "concentration", "hk", "honest", "all")
+# the povm suite audits a k = 2 family of joint dimension 4^m; its random
+# POVMs stay affordable while that is within the certify-at-build cap
+_POVM_MAX_M = (CERTIFY_DIM.bit_length() - 1) // 2
 
 
 class UsageError(Exception):
@@ -295,10 +299,6 @@ def _verify_one(suite: str, args, rng: SeededRng):
             reports.append(analysis.concentration_experiment(ell, trials, None, rng.derive(idx)))
     elif suite == "hk":
         trials = args.trials or 20_000
-        try:
-            analysis.scan_cells([args.k], [args.m])
-        except ValueError as exc:
-            raise UsageError(str(exc))
         if args.k == 2:
             # the proven pair: the identity and a flat unitary on the joint space
             encs = [np.eye(1 << (2 * args.m)), walsh_matrix(2 * args.m)]
@@ -306,10 +306,8 @@ def _verify_one(suite: str, args, rng: SeededRng):
             family = build_family(mub_family(args.k, args.m))
             encs = [qmath.kron_chain(family.factors(i)) for i in range(family.k)]
         reports.append(analysis.explore_condition_2prime(encs, trials, rng.derive(0)))
-    elif suite == "honest":
+    else:  # honest
         reports.append(_honest_suite(rng))
-    else:
-        raise UsageError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
     return reports
 
 
@@ -364,8 +362,18 @@ def _completeness_violations(family) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
-    rng = SeededRng(args.seed)
     suites = [s for s in VERIFY_SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    # every selected suite's arguments are checked before any suite runs
+    if "povm" in suites and not 1 <= args.m <= _POVM_MAX_M:
+        raise UsageError(
+            f"--suite povm needs 1 <= m <= {_POVM_MAX_M} (4^m <= {CERTIFY_DIM}), got --m {args.m}"
+        )
+    if "hk" in suites:
+        try:
+            analysis.scan_cells([args.k], [args.m])
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    rng = SeededRng(args.seed)
     reports = []
     for idx, suite in enumerate(suites):
         reports.extend(_verify_one(suite, args, rng.derive(idx)))

@@ -41,28 +41,20 @@ class GfMask:
             raise ValueError("modulus must be irreducible of degree m")
 
     def apply(self, d: int) -> int:
-        return gf_mask(d, self)
+        """a*d + b in GF(2^m) (carry-less product, addition is XOR)."""
+        if not 0 <= d < 1 << self.m:
+            raise ValueError(f"value {d} out of range for m={self.m}")
+        return int(gf2.mul(self.a, d, self.m, self.modulus)) ^ self.b
 
     def unmask(self, dp: int) -> int:
-        return gf_unmask(dp, self)
+        """a^-1 * (dp + b), the inverse affine map."""
+        if not 0 <= dp < 1 << self.m:
+            raise ValueError(f"value {dp} out of range for m={self.m}")
+        a_inv = gf2.inverse(self.a, self.m, self.modulus)
+        return int(gf2.mul(a_inv, dp ^ self.b, self.m, self.modulus))
 
     def payload(self) -> dict:
         return {"m": self.m, "a": self.a, "b": self.b, "modulus": self.modulus}
-
-
-def gf_mask(d: int, mask: GfMask) -> int:
-    """a*d + b in GF(2^m) (carry-less product, addition is XOR)."""
-    if not 0 <= d < 1 << mask.m:
-        raise ValueError(f"value {d} out of range for m={mask.m}")
-    return int(gf2.mul(mask.a, d, mask.m, mask.modulus)) ^ mask.b
-
-
-def gf_unmask(dp: int, mask: GfMask) -> int:
-    """a^-1 * (dp + b), the inverse affine map."""
-    if not 0 <= dp < 1 << mask.m:
-        raise ValueError(f"value {dp} out of range for m={mask.m}")
-    a_inv = gf2.inverse(mask.a, mask.m, mask.modulus)
-    return int(gf2.mul(a_inv, dp ^ mask.b, mask.m, mask.modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Generalized (POVM) measurements: validation, sampling, posteriors, audits.
+"""Generalized (POVM) measurements: validation, random draws, posteriors, audits.
 
 The audit machinery checks numerically that generalized measurements obey
 the same entropic bound as projective ones on pairwise-unbiased encoding
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import qmath
 from .encodings import EncodingFamily
-from .protocol import MeasurementBasis
 from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
 _PSD_TOL = -1e-9
@@ -56,33 +55,6 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> Povm:
     if err > tol:
         raise ValueError(f"completeness violated: max deviation {err}")
     return p
-
-
-def povm_from_basis(basis: MeasurementBasis) -> Povm:
-    """Rank-1 projectors reproducing a projective measurement's statistics."""
-    mat = basis.matrix
-    if not qmath.is_unitary(mat, DEFAULT_TOL):
-        raise ValueError("basis matrix is not unitary")
-    cols = mat.conj().T  # column j is the j-th measurement vector
-    ops = tuple(np.outer(cols[:, j], cols[:, j].conj()) for j in range(mat.shape[0]))
-    return validate_povm(Povm(dim=mat.shape[0], operators=ops))
-
-
-def measure_povm(state: np.ndarray, p: Povm, rng: SeededRng):
-    """Sample an outcome; returns (outcome index, unit post-measurement state)."""
-    psi = qmath.as_state(state)
-    if psi.size != p.dim:
-        raise ValueError(f"dimension mismatch: state {psi.size}, povm {p.dim}")
-    branches = [r @ psi for r in p.operators]
-    probs = np.array([float(np.vdot(b, b).real) for b in branches])
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"outcome probabilities sum to {total}; validate the povm")
-    probs = probs / total
-    cum = np.cumsum(probs)
-    j = min(int(np.searchsorted(cum, rng.gen.random(), side="right")), probs.size - 1)
-    post = branches[j] / np.sqrt(probs[j])
-    return j, post
 
 
 def _outcome_posteriors(r: np.ndarray, family: EncodingFamily) -> np.ndarray:

@@ -9,6 +9,7 @@ structurally, so no decoding path can peek at the announcement early.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,36 +72,35 @@ def item_blocks(d: int, k: int, m: int) -> list:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """A projective basis, given by the rows of a unitary matrix.
+    """A projective basis: the rows of the Kronecker chain of `factors`.
 
-    Bases built from Kronecker factors (optionally with a row relabeling)
-    keep that structure so they apply in O(n log n) instead of O(n^2).
+    A dense basis is a one-factor chain.  Bases built from several factors
+    (optionally with a row relabeling) keep that structure so they apply in
+    O(n log n) instead of O(n^2).
     """
 
     kind: str
     index: int | None
-    dim: int
-    factors: tuple | None = None
+    factors: tuple
     row_map: np.ndarray | None = field(default=None, repr=False)
-    dense: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.factors is None and self.dense is None:
-            raise ValueError("a basis needs factors or a dense matrix")
-        if self.dense is not None:
-            mat = qmath.as_operator(self.dense)
-            if mat.shape[0] != self.dim:
-                raise ValueError("dense matrix does not match dim")
-            if not qmath.is_unitary(mat, DEFAULT_TOL):
+        factors = []
+        for f in self.factors:
+            f = qmath.as_operator(f)
+            if not qmath.is_unitary(f, DEFAULT_TOL):
                 raise ValueError("measurement matrix is not unitary")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            object.__setattr__(self, "dense", mat)
+            f = f.copy()
+            f.setflags(write=False)
+            factors.append(f)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def dim(self) -> int:
+        return math.prod(f.shape[0] for f in self.factors)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
         mat = qmath.kron_chain(self.factors)
         if self.row_map is not None:
             mat = mat[self.row_map, :]
@@ -108,8 +108,6 @@ class MeasurementBasis:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """M @ state."""
-        if self.dense is not None:
-            return self.dense @ state
         out = qmath.kron_apply(self.factors, state)
         if self.row_map is not None:
             out = out[self.row_map]
@@ -118,8 +116,6 @@ class MeasurementBasis:
     def row(self, j: int) -> np.ndarray:
         if not 0 <= j < self.dim:
             raise ValueError(f"outcome index {j} out of range")
-        if self.dense is not None:
-            return self.dense[j]
         return qmath.kron_row(self.factors, int(self.row_map[j]) if self.row_map is not None else j)
 
     def label(self) -> dict:
@@ -132,7 +128,7 @@ def honest_basis(family: EncodingFamily, j: int) -> MeasurementBasis:
         raise ValueError(f"choice {j} out of range for k={family.k}")
     adj = family.basis.matrices[j].conj().T
     return MeasurementBasis(
-        kind="honest", index=j, dim=family.n, factors=(adj,) * family.k
+        kind="honest", index=j, factors=(adj,) * family.k
     )
 
 
@@ -143,7 +139,7 @@ def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
     factors = tuple(a.conj().T for a in family.factors(guess))
     row_map = qmath.rotation_index_map(family.k, family.m, guess)
     return MeasurementBasis(
-        kind="invert", index=guess, dim=family.n, factors=factors, row_map=row_map
+        kind="invert", index=guess, factors=factors, row_map=row_map
     )
 
 
@@ -162,12 +158,7 @@ def parity_basis() -> MeasurementBasis:
         ],
         dtype=complex,
     ) / 2.0
-    return MeasurementBasis(kind="parity", index=None, dim=4, dense=rows)
-
-
-def custom_basis(matrix: np.ndarray) -> MeasurementBasis:
-    mat = qmath.as_operator(matrix)
-    return MeasurementBasis(kind="custom", index=None, dim=mat.shape[0], dense=mat)
+    return MeasurementBasis(kind="parity", index=None, factors=(rows,))
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +190,16 @@ def sample_outcome(state: np.ndarray, basis: MeasurementBasis, rng: SeededRng) -
     return min(j, dist.size - 1)
 
 
-def posterior(
-    basis: MeasurementBasis,
-    family: EncodingFamily,
-    i: int,
-    j: int,
-    prior: np.ndarray | None = None,
-) -> np.ndarray:
-    """P(d | outcome j, announced i) by Bayes' rule.
+def posterior(basis: MeasurementBasis, family: EncodingFamily, i: int, j: int) -> np.ndarray:
+    """P(d | outcome j, announced i) by Bayes' rule under the uniform prior.
 
-    With the uniform prior this is exactly row j of |M E_i|^2, since the
-    normalizing sum is 1 by unitarity.
+    This is exactly row j of |M E_i|^2, whose sum is 1 by unitarity.
     """
     if not 0 <= i < family.k:
         raise ValueError(f"encoding index {i} out of range")
     amps = family.vec_times_encoder(basis.row(j), i)
     lik = np.abs(amps) ** 2
-    if prior is None:
-        weighted = lik
-    else:
-        weighted = lik * qmath.as_distribution(prior)
-    total = weighted.sum()
-    if total < 1e-15:
-        raise ValueError("conditioning on a zero-probability outcome")
-    return weighted / total
+    return lik / lik.sum()
 
 
 def outcome_probs(mat: np.ndarray, family: EncodingFamily, i: int) -> np.ndarray:
@@ -312,55 +289,48 @@ class SessionOrderError(RuntimeError):
     """An event was requested out of the enforced protocol order."""
 
 
+# the one legal event order of a session; each event happens exactly once
+EVENT_ORDER = ("state_sent", "measurement_committed", "encoding_announced", "decoded")
+
+
 class TranscriptBuilder:
-    """Event log that refuses to reveal the encoding before measurement."""
+    """Event log that refuses to reveal the encoding before measurement.
+
+    A call out of `EVENT_ORDER` raises `SessionOrderError` and logs nothing,
+    so the log is always a prefix of the legal order.
+    """
 
     def __init__(self, secret_encoding: int):
         self.__secret = int(secret_encoding)
         self._events = []
-        self._state_sent = False
-        self._measured = False
-        self._announced = None
 
-    def _push(self, kind: str, payload: dict):
+    def _push(self, kind: str, payload: dict, refusal: str):
+        if len(self._events) != EVENT_ORDER.index(kind):
+            raise SessionOrderError(refusal)
         self._events.append({"seq": len(self._events), "type": kind, **payload})
 
     def record_state_sent(self, dim: int):
-        if self._state_sent:
-            raise SessionOrderError("state already sent")
-        self._state_sent = True
-        self._push("state_sent", {"dim": dim})
+        self._push("state_sent", {"dim": dim}, "the state is sent once, first")
 
     def record_measurement(self, basis_label: dict, outcome: int):
-        if not self._state_sent:
-            raise SessionOrderError("cannot measure before the state is sent")
-        if self._measured:
-            raise SessionOrderError("measurement already committed")
-        self._measured = True
-        self._push("measurement_committed", {"basis": basis_label, "outcome": int(outcome)})
+        payload = {"basis": basis_label, "outcome": int(outcome)}
+        self._push("measurement_committed", payload, "one measurement, after the state is sent")
 
     def announce(self, extra: dict | None = None) -> int:
-        if not self._measured:
-            raise SessionOrderError("the encoding is announced only after measurement")
-        if self._announced is not None:
-            raise SessionOrderError("encoding already announced")
-        self._announced = self.__secret
-        payload = {"i": self._announced}
+        payload = {"i": self.__secret}
         if extra:
             payload.update(extra)
-        self._push("encoding_announced", payload)
-        return self._announced
+        self._push("encoding_announced", payload, "the encoding is announced once, after measurement")
+        return self.__secret
 
     @property
     def announced(self) -> int:
-        if self._announced is None:
+        if len(self._events) <= EVENT_ORDER.index("encoding_announced"):
             raise SessionOrderError("the encoding is announced only after measurement")
-        return self._announced
+        return self.__secret
 
     def record_decoded(self, payload: dict):
-        if self._announced is None:
-            raise SessionOrderError("cannot decode before the announcement")
-        self._push("decoded", {"value": payload})
+        self._push("decoded", {"value": payload}, "one decode, after the announcement")
 
     @property
     def events(self) -> list:

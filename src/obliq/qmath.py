@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, entropy functionals, permutations, seeded RNG.
+"""Dense complex linear algebra, entropy functionals, block rotations, seeded RNG.
 
 Conventions shared by the whole package:
 
@@ -132,37 +132,8 @@ def is_hadamard(mat, tol: float = DEFAULT_TOL) -> bool:
     return is_unitary(m, tol)
 
 
-def linf_overlap(a, b) -> float:
-    """Maximum entry magnitude of the matrix product a @ b."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a @ b).max())
-
-
 # ---------------------------------------------------------------------------
-# probability and entropy
-
-
-def as_distribution(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coerce to a probability vector (nonnegative, sums to 1 within `tol`)."""
-    q = np.asarray(p, dtype=float)
-    if q.ndim != 1:
-        raise ValueError(f"expected a probability vector, got shape {q.shape}")
-    if q.min() < -1e-12:
-        raise ValueError(f"negative probability {q.min()}")
-    total = q.sum()
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return np.clip(q, 0.0, None)
-
-
-def shannon_entropy(p) -> float:
-    """Base-2 entropy of a probability vector, in bits."""
-    q = as_distribution(p)
-    nz = q[q > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+# entropy
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -171,12 +142,6 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0.0)
     return -(p * logs).sum(axis=-1)
-
-
-def h2(u) -> float:
-    """Entropy of the squared-magnitude distribution of a unit vector."""
-    v = as_state(u)
-    return float(entropy_rows(np.abs(v) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +179,8 @@ def random_states(dim: int, count: int, rng: SeededRng) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def random_state(dim: int, rng: SeededRng) -> np.ndarray:
-    return random_states(dim, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
-# block permutations of configuration indices
+# block rotations of configuration indices
 
 
 def rotation_index_map(k: int, m: int, i: int) -> np.ndarray:
@@ -232,12 +193,3 @@ def rotation_index_map(k: int, m: int, i: int) -> np.ndarray:
 def rotate_blocks(d, k: int, m: int, i: int):
     """Left-rotate the k m-bit blocks of index d by i; ints or integer arrays."""
     return ((d << (m * i)) | (d >> (m * (k - i)))) & ((1 << (k * m)) - 1)
-
-
-def rotation_permutation(k: int, m: int, i: int) -> np.ndarray:
-    """0/1 matrix P with P e_d = e_{rot_i(d)} (left block rotation by i)."""
-    rot = rotation_index_map(k, m, i)
-    n = rot.size
-    p = np.zeros((n, n))
-    p[rot, np.arange(n)] = 1.0
-    return p

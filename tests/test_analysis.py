@@ -31,8 +31,8 @@ from obliq.protocol import honest_basis, invert_basis
 from obliq.qmath import (
     BoundViolation,
     SeededRng,
+    as_state,
     entropy_rows,
-    h2,
     haar_unitaries,
     haar_unitary,
     is_unitary,
@@ -41,6 +41,11 @@ from obliq.qmath import (
 )
 
 QUICK = OptimizerConfig(restarts=6, iterations=300)
+
+
+def h2(u) -> float:
+    """Entropy of the squared-magnitude distribution of a unit vector."""
+    return float(entropy_rows(np.abs(as_state(u)) ** 2))
 
 
 class TestTheorem1Audit:

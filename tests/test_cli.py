@@ -267,6 +267,12 @@ class TestMalformed:
             ["scan", "--k", "2", "--m", "0", "--seed", "5"],
             ["scan", "--k", "2", "--m", "1", "--iters", "-4", "--seed", "5"],
             ["verify", "--suite", "hk", "--k", "1", "--m", "1", "--seed", "5"],
+            ["verify", "--suite", "povm", "--m", "0", "--seed", "5"],
+            ["verify", "--suite", "povm", "--m", "-2", "--seed", "5"],
+            ["verify", "--suite", "povm", "--m", "5", "--seed", "5"],
+            ["verify", "--suite", "povm", "--m", "9", "--seed", "5"],
+            ["verify", "--suite", "all", "--k", "5", "--seed", "5"],
+            ["verify", "--suite", "all", "--m", "5", "--seed", "5"],
         ],
     )
     def test_one_line_usage_error(self, argv, capsys):
@@ -275,3 +281,10 @@ class TestMalformed:
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error")
+
+    @pytest.mark.parametrize("flags", [["--k", "5"], ["--m", "5"]])
+    def test_verify_all_checks_arguments_before_any_suite_runs(self, flags, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(analysis, "verify_theorem1", lambda *args: ran.append(args))
+        code, out, _ = run(["verify", "--suite", "all", *flags, "--seed", "5"], capsys)
+        assert (code, out, ran) == (EXIT_USAGE, "", [])

@@ -20,7 +20,7 @@ from obliq.encodings import (
     tensorized_family,
     walsh_family,
 )
-from obliq.qmath import SeededRng, is_hadamard, is_unitary, linf_overlap, rotation_permutation
+from obliq.qmath import SeededRng, is_hadamard, is_unitary, rotation_index_map
 
 S = np.sqrt(0.5)
 
@@ -110,7 +110,7 @@ class TestWalshFamily:
         for m in (1, 2, 3):
             fam = walsh_family(m)
             n = fam.n
-            got = linf_overlap(np.eye(n), fam.encoder(1).conj().T @ fam.encoder(0))
+            got = np.abs(fam.encoder(1).conj().T @ fam.encoder(0)).max()
             assert got == pytest.approx(1 / np.sqrt(n), abs=1e-9)
 
     def test_zero_m_rejected(self):
@@ -124,13 +124,13 @@ class TestBuildFamily:
         fam = build_family(basis)
         a0, a1 = basis.matrices
         np.testing.assert_allclose(fam.encoder(0), np.kron(a0, a1), atol=1e-12)
-        perm = rotation_permutation(2, 1, 1)
+        perm = np.eye(4)[:, rotation_index_map(2, 1, 1)]  # P e_d = e_{rot(d)}
         np.testing.assert_allclose(fam.encoder(1), np.kron(a1, a0) @ perm, atol=1e-12)
 
     def test_k2_walsh_identity(self):
         fam = walsh_family(1)
         a0, a1 = fam.basis.matrices
-        perm = rotation_permutation(2, 1, 1)
+        perm = np.eye(4)[:, rotation_index_map(2, 1, 1)]  # P e_d = e_{rot(d)}
         lhs = fam.encoder(1).conj().T @ fam.encoder(0)
         rhs = perm.conj().T @ np.kron(a1.conj().T @ a0, a0.conj().T @ a1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -296,3 +296,49 @@ class TestDescriptors:
             [[complex(re, im) for re, im in row] for row in desc["matrices"][1]]
         )
         np.testing.assert_allclose(rebuilt, fam.basis.matrices[1], atol=1e-15)
+
+
+def _ordered_pair_reference(mats):
+    """(every A_i^dag A_j flat, max entry magnitude) over all ordered pairs i != j."""
+    crosses = [a.conj().T @ b for i, a in enumerate(mats) for j, b in enumerate(mats) if i != j]
+    return all(is_hadamard(c, 1e-9) for c in crosses), max(float(np.abs(c).max()) for c in crosses)
+
+
+class TestSingleCertificationPass:
+    def test_non_flat_cyclic_rejected(self):
+        # powers of an order-3 unitary, but A_0^dag A_1 = diag(1, w) is not flat
+        a = np.diag([1.0, np.exp(2j * np.pi / 3)])
+        with pytest.raises(CertificationError, match="not flat"):
+            ItemBasisFamily(k=3, m=1, matrices=(np.eye(2), a, a @ a), kind="cyclic")
+
+    def test_non_flat_walsh_rejected(self):
+        with pytest.raises(CertificationError, match="not flat"):
+            ItemBasisFamily(k=2, m=2, matrices=(np.eye(4), np.diag([1, -1, 1, -1])), kind="walsh")
+
+    def test_mub_flags_match_ordered_pairs(self):
+        for m in range(1, 5):
+            for k in range(2, (1 << m) + 2):
+                fam = mub_family(k, m)
+                flat, overlap = _ordered_pair_reference(fam.matrices)
+                assert fam.pairwise_hadamard is flat is True
+                assert fam.max_pairwise_overlap == pytest.approx(overlap, abs=1e-15)
+
+    def test_random_and_tensorized_flags_match_ordered_pairs(self):
+        root = SeededRng(31)
+        families = [random_family(k, m, root.derive(10 * k + m)) for k, m in ((2, 1), (3, 2), (4, 3))]
+        families += [tensorized_family(k, 4, r, root.derive(100 + k * r)) for k in (2, 3) for r in (2, 4)]
+        families.append(ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit"))
+        for fam in families:
+            flat, overlap = _ordered_pair_reference(fam.matrices)
+            assert fam.pairwise_hadamard is flat
+            assert fam.max_pairwise_overlap == pytest.approx(overlap, abs=1e-15)
+
+    def test_one_flatness_check_per_unordered_pair(self, monkeypatch):
+        from obliq import qmath
+
+        calls = []
+        real = qmath.is_hadamard
+        monkeypatch.setattr(qmath, "is_hadamard", lambda *a: calls.append(1) or real(*a))
+        fam = build_family(mub_family(9, 3))
+        assert fam.pairwise_hadamard
+        assert len(calls) == 9 * 8 // 2

@@ -6,18 +6,27 @@ import pytest
 from obliq.encodings import build_family, explicit_single_bit_family, mub_family, walsh_family
 from obliq.povm import (
     Povm,
-    measure_povm,
     povm_entropy_bound_check,
-    povm_from_basis,
     povm_gain_account,
     povm_posterior,
     random_povm,
     validate_povm,
 )
-from obliq.protocol import custom_basis, honest_basis, outcome_distribution, posterior
-from obliq.qmath import BoundViolation, SeededRng, haar_unitary, random_state, shannon_entropy
+from obliq.protocol import MeasurementBasis, honest_basis, outcome_distribution, posterior, sample_outcome
+from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, random_states
 
 S = np.sqrt(0.5)
+
+
+def custom_basis(matrix) -> MeasurementBasis:
+    return MeasurementBasis(kind="custom", index=None, factors=(matrix,))
+
+
+def povm_from_basis(basis: MeasurementBasis) -> Povm:
+    """Rank-1 projectors onto the measurement vectors (the rows of the basis)."""
+    rows = basis.matrix
+    ops = tuple(np.outer(v.conj(), v) for v in rows)
+    return validate_povm(Povm(dim=len(rows), operators=ops))
 
 
 @pytest.fixture
@@ -52,7 +61,7 @@ class TestPovmFromBasis:
         for t in range(20):
             basis = custom_basis(haar_unitary(4, rng.derive(t)))
             p = povm_from_basis(basis)
-            psi = random_state(4, rng.derive(100 + t))
+            psi = random_states(4, 1, rng.derive(100 + t))[0]
             proj = outcome_distribution(psi, basis)
             general = np.array(
                 [float(np.vdot(r @ psi, r @ psi).real) for r in p.operators]
@@ -68,24 +77,31 @@ class TestPovmFromBasis:
         assert prob0 == pytest.approx(0.5, abs=1e-12)
 
 
+def _outcome_law(p: Povm, psi: np.ndarray) -> np.ndarray:
+    return np.array([float(np.vdot(r @ psi, r @ psi).real) for r in p.operators])
+
+
 class TestMeasurePovm:
     def test_eigenstate_deterministic(self):
-        p = povm_from_basis(custom_basis(np.eye(4)))
+        basis = custom_basis(np.eye(4))
+        p = povm_from_basis(basis)
         psi = np.zeros(4, dtype=complex)
         psi[2] = 1
-        j, post = measure_povm(psi, p, SeededRng(5))
-        assert j == 2
+        probs = _outcome_law(p, psi)
+        np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-15)
+        post = p.operators[2] @ psi / np.sqrt(probs[2])
         np.testing.assert_allclose(np.abs(post), np.abs(psi), atol=1e-12)
         assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+        assert sample_outcome(psi, basis, SeededRng(5)) == 2
 
     def test_plus_state_split(self):
-        p = povm_from_basis(custom_basis(np.eye(2)))
+        basis = custom_basis(np.eye(2))
         psi = np.array([S, S], dtype=complex)
+        np.testing.assert_allclose(_outcome_law(povm_from_basis(basis), psi), [0.5, 0.5], atol=1e-12)
         counts = [0, 0]
         root = SeededRng(12)
         for t in range(2000):
-            j, _ = measure_povm(psi, p, root.derive(t))
-            counts[j] += 1
+            counts[sample_outcome(psi, basis, root.derive(t))] += 1
         sigma = np.sqrt(0.25 / 2000)
         assert abs(counts[0] / 2000 - 0.5) < 3 * sigma
 
@@ -99,7 +115,7 @@ class TestMeasurePovm:
         p = validate_povm(Povm(dim=2, operators=ops))
         rng = SeededRng(9)
         for t in range(20):
-            psi = random_state(2, rng.derive(t))
+            psi = random_states(2, 1, rng.derive(t))[0]
             probs = [float(np.vdot(r @ psi, r @ psi).real) for r in p.operators]
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -190,7 +206,7 @@ class TestGainAccount:
             acct = povm_gain_account(p, family)
             for j in range(len(p)):
                 for i in range(family.k):
-                    expected = shannon_entropy(povm_posterior(p, family, i, j))
+                    expected = entropy_rows(povm_posterior(p, family, i, j))
                     assert abs(acct["h_cond"][j, i] - expected) <= 1e-12
 
     def test_normalizer_mismatch_is_a_bound_violation(self):

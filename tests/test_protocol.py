@@ -18,9 +18,9 @@ from obliq.encodings import (
 )
 from obliq.protocol import (
     DatabaseState,
+    MeasurementBasis,
     SessionOrderError,
     TranscriptBuilder,
-    custom_basis,
     decode_item,
     honest_basis,
     honest_leakage,
@@ -38,6 +38,10 @@ from obliq.protocol import _decode
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, is_unitary
 
 S = np.sqrt(0.5)
+
+
+def custom_basis(matrix) -> MeasurementBasis:
+    return MeasurementBasis(kind="custom", index=None, factors=(matrix,))
 
 
 @pytest.fixture
@@ -138,16 +142,6 @@ class TestPosterior:
         for j in range(4):
             post = posterior(basis, explicit, 1, j)
             np.testing.assert_allclose(post, np.full(4, 0.25), atol=1e-12)
-
-    def test_nonuniform_prior(self, explicit):
-        prior = np.array([0.7, 0.3, 0.0, 0.0])
-        post = posterior(custom_basis(np.eye(4)), explicit, 0, 0, prior)
-        np.testing.assert_allclose(post, [0.7, 0.3, 0, 0], atol=1e-12)
-
-    def test_zero_probability_event(self, explicit):
-        prior = np.array([0.0, 0.0, 0.5, 0.5])
-        with pytest.raises(ValueError, match="zero-probability"):
-            posterior(custom_basis(np.eye(4)), explicit, 0, 0, prior)
 
     def test_normalization_random_bases(self, explicit):
         rng = SeededRng(15)
@@ -401,6 +395,49 @@ class TestEventOrder:
         builder.announce()
         builder.record_decoded({"kind": "none"})
         assert [e["type"] for e in builder.events][-1] == "decoded"
+
+
+LEGAL_ORDER = ["state_sent", "measurement_committed", "encoding_announced", "decoded"]
+
+
+def _call(builder, step):
+    """Make the builder call that logs LEGAL_ORDER[step]."""
+    if step == 0:
+        builder.record_state_sent(4)
+    elif step == 1:
+        builder.record_measurement({"kind": "honest", "index": 0}, 0)
+    elif step == 2:
+        builder.announce()
+    else:
+        builder.record_decoded({"kind": "none"})
+
+
+class TestEventOrderProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(st.integers(0, 3), max_size=10))
+    @example(calls=[0, 1, 2, 3, 3])
+    @example(calls=[0, 1, 2, 3, 0])
+    def test_only_the_legal_order_succeeds(self, calls):
+        builder = TranscriptBuilder(secret_encoding=1)
+        done = 0  # length of the legal prefix logged so far
+        for step in calls:
+            if step == done:
+                _call(builder, step)
+                done += 1
+            else:
+                with pytest.raises(SessionOrderError):
+                    _call(builder, step)
+            assert [e["type"] for e in builder.events] == LEGAL_ORDER[:done]
+            assert [e["seq"] for e in builder.events] == list(range(done))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=round_trip_cases(), invert=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_sessions_log_the_legal_order(self, case, invert, seed):
+        kind, k, m, r, items, choice = case
+        fam = _round_trip_family(kind, k, m, r, SeededRng(seed, 1))
+        strategy = invert_basis(fam, choice) if invert else honest_basis(fam, choice)
+        tr = run_session(DatabaseState(k, m, items), fam, strategy, SeededRng(seed))
+        assert [(e["seq"], e["type"]) for e in tr.events] == list(enumerate(LEGAL_ORDER))
 
 
 class TestHonestLeakage:

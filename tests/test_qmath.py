@@ -1,12 +1,13 @@
-"""Core linear algebra, entropy, permutation, and RNG contracts."""
+"""Core linear algebra, entropy, block-rotation, and RNG contracts."""
 
 import numpy as np
 import pytest
 
+from obliq.encodings import ItemBasisFamily, walsh_family
 from obliq.qmath import (
     SeededRng,
-    as_distribution,
-    h2,
+    as_state,
+    entropy_rows,
     haar_unitaries,
     haar_unitary,
     is_hadamard,
@@ -14,14 +15,21 @@ from obliq.qmath import (
     kron_apply,
     kron_chain,
     kron_row,
-    linf_overlap,
     rotate_blocks,
     rotation_index_map,
-    rotation_permutation,
-    shannon_entropy,
 )
 
 W2 = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
+
+
+def h2(u) -> float:
+    """Entropy of the squared-magnitude distribution of a unit vector."""
+    return float(entropy_rows(np.abs(as_state(u)) ** 2))
+
+
+def rotation_permutation(k: int, m: int, i: int) -> np.ndarray:
+    """0/1 matrix P with P e_d = e_{rot_i(d)}: column d of I is e_d."""
+    return np.eye(1 << (k * m))[:, rotation_index_map(k, m, i)]
 
 
 class TestTensorProduct:
@@ -90,27 +98,29 @@ class TestPredicates:
 
 
 class TestLinfOverlap:
+    """`max_pairwise_overlap`: the largest entry magnitude of any A_i^dag A_j."""
+
     def test_identity_pair(self):
-        assert linf_overlap(np.eye(3), np.eye(3)) == pytest.approx(1.0)
+        fam = ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit")
+        assert fam.max_pairwise_overlap == pytest.approx(1.0)
 
     def test_identity_with_walsh(self):
-        w4 = np.kron(W2, W2)
-        assert linf_overlap(np.eye(4), w4) == pytest.approx(0.5, abs=1e-12)
+        assert walsh_family(2).basis.max_pairwise_overlap == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linf_overlap(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(4)), kind="explicit")
 
 
 class TestEntropy:
     def test_uniform_four(self):
-        assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
+        assert entropy_rows([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert shannon_entropy([1, 0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_rows([1, 0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_half(self):
-        assert shannon_entropy([0.5, 0.5, 0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_rows([0.5, 0.5, 0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_entropy_upper_bound_uniform_only(self):
         rng = SeededRng(9)
@@ -118,13 +128,9 @@ class TestEntropy:
             for _ in range(20):
                 raw = rng.gen.random(size) + 1e-3
                 p = raw / raw.sum()
-                h = shannon_entropy(p)
+                h = entropy_rows(p)
                 assert h <= np.log2(size) + 1e-9
-        assert shannon_entropy(np.full(8, 1 / 8)) == pytest.approx(3.0, abs=1e-9)
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            as_distribution([0.5, 0.6])
+        assert entropy_rows(np.full(8, 1 / 8)) == pytest.approx(3.0, abs=1e-9)
 
     def test_h2_basis_vector(self):
         e3 = np.zeros(4, dtype=complex)
@@ -225,7 +231,7 @@ class TestRotationPermutation:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            rotation_permutation(3, 1, 3)
+            rotation_index_map(3, 1, 3)
 
     def test_composition(self):
         for k, m in ((2, 1), (3, 1), (3, 2), (4, 1)):
