@@ -233,10 +233,9 @@ def _stacked_encoders(family: EncodingFamily) -> np.ndarray:
 
 
 def gain_from_params(theta: np.ndarray, family: EncodingFamily) -> float:
-    """Expected information gain (bits) of the measurement exp(iH(theta))."""
+    """Expected information gain (bits) of the measurement exp(iH(theta)): log2 n minus its mean row entropy."""
     n = family.n
-    total = _objective(unitary_from_params(theta, n), _stacked_encoders(family))[0]
-    return float(np.log2(n)) - total / (family.k * n)
+    return float(np.log2(n)) - _objective(unitary_from_params(theta, n), _stacked_encoders(family))[0]
 
 
 def _leakage_bound(family: EncodingFamily) -> float:
@@ -253,36 +252,43 @@ _GAIN_TOL = 1e-7  # a descent stops after a step that raises the expected gain b
 
 
 def _objective(u: np.ndarray, encoders: np.ndarray):
-    """f(U) = sum_i sum_rows H2(|U E_i|^2), E_i side by side in `encoders`.
+    """f(U) = mean over the k n rows of U E of H2(|row|^2), in bits; E_i side by side in `encoders`.
 
-    Also returns a thunk for the Riemannian gradient skew(G U^dag), where
-    G = sum_i [2 (-log2 p - 1/ln 2) * U E_i] E_i^dag and so G U^dag is
-    W (U E)^dag.  Where p = 0, U E_i = 0 gives the term its exact limit, 0.
+    The expected gain of measuring in the rows of U is log2 n - f(U).  Also
+    returns a thunk for the Riemannian gradient skew(G U^dag), where
+    G = sum_i [2 (-log2 p - 1/ln 2) * U E_i] E_i^dag / (k n) and so G U^dag
+    is W (U E)^dag.  Where p = 0, U E_i = 0 gives the term its exact limit, 0.
     """
     amp = u @ encoders
     p = amp.real**2 + amp.imag**2
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0.0)
+    scale = 1.0 / encoders.shape[1]
 
     def riemannian_gradient() -> np.ndarray:
-        g = (amp * (-2.0 * (logs + _INV_LN2))) @ amp.conj().T
+        g = (amp * ((-2.0 * scale) * (logs + _INV_LN2))) @ amp.conj().T
         return 0.5 * (g - g.conj().T)
 
-    return -float((p * logs).sum()), riemannian_gradient
+    return -scale * float((p * logs).sum()), riemannian_gradient
 
 
 def _cayley_step(u: np.ndarray, omega: np.ndarray, mu: float) -> np.ndarray:
-    """Cayley(-mu Omega) U = (I + mu Omega/2)^-1 (I - mu Omega/2) U, unitary for skew Omega."""
-    half = (0.5 * mu) * omega
-    return np.linalg.solve(np.eye(len(u)) + half, u - half @ u)
+    """Cayley(-mu Omega) U = (I + mu Omega/2)^-1 (I - mu Omega/2) U, unitary for skew Omega.
+
+    Formed as 2 (I + mu Omega/2)^-1 U - U, the same matrix from one solve
+    and no product.
+    """
+    return 2.0 * np.linalg.solve(np.eye(len(u)) + (0.5 * mu) * omega, u) - u
 
 
-def _descend(u, encoders, iterations: int, min_drop: float):
+def _descend(u, encoders, iterations: int):
     """Riemannian steepest descent of f on U(n) (Abrudan, Eriksson & Koivunen 2008).
 
     Armijo steps along the Cayley retraction; a rejected mu is replaced by
     the quadratic-interpolation step, an accepted one doubles for the next
-    step.  Stops after `iterations` steps or a drop in f below `min_drop`.
+    step.  f is a mean row entropy, so the first trial step mu = 1 has the
+    same size in gain units at every n.  Stops after `iterations` steps or
+    a step that raises the gain, a drop in f, by less than _GAIN_TOL bits.
     """
     f, gradient = _objective(u, encoders)
     mu = 1.0
@@ -300,34 +306,33 @@ def _descend(u, encoders, iterations: int, min_drop: float):
                 return u, f
         drop = f - f_cand
         u, f, gradient = cand, f_cand, grad_cand
-        if drop < min_drop:
+        if drop < _GAIN_TOL:
             break
         mu *= 2.0
     return u, f
 
 
 def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng) -> LeakageResult:
-    """Maximize expected gain, log2 n - f(U) / (k n), by `_descend` from each start.
+    """Maximize the expected gain, log2 n - f(U), by `_descend` from each start.
 
     The first 2k restarts start at the honest, then the inverse-encoder,
-    bases.  These are stationary points of f, so the descent begins at a
-    seeded skew perturbation of size 1e-3 and the start itself stays a
-    candidate: the result never falls below the honest strategy.  Later
-    restarts start from Haar unitaries.  Restarts run serially.  best_params
-    are the winner's Hermitian parameters; best_gain is their gain_from_params.
+    bases; each is built only when its restart runs.  These are stationary
+    points of f, so the descent begins at a seeded skew perturbation of size
+    1e-3 and the start itself stays a candidate: the result never falls
+    below the honest strategy.  Later restarts start from Haar unitaries.
+    Restarts run serially.  best_gain is log2 n minus the winner's f as the
+    search evaluated it; best_params are the winner's Hermitian parameters,
+    whose gain_from_params reproduces best_gain to rounding.
     """
     n, k = family.n, family.k
     if config.restarts < 1:
         raise ValueError("the leakage search needs restarts >= 1")
     encoders = _stacked_encoders(family)
-    structured = [honest_basis(family, j).matrix for j in range(k)]
-    structured += [invert_basis(family, g).matrix for g in range(k)]
-    min_drop = _GAIN_TOL * k * n
     best_f, best_idx, best_u = np.inf, 0, None
     for idx in range(config.restarts):
         stream = rng.derive(idx)
-        if idx < len(structured):
-            start = structured[idx]
+        if idx < 2 * k:
+            start = (honest_basis(family, idx) if idx < k else invert_basis(family, idx - k)).matrix
             z = stream.gen.standard_normal((n, n)) + 1j * stream.gen.standard_normal((n, n))
             kick = z - z.conj().T
             u0 = _cayley_step(start, kick * (_KICK / np.linalg.norm(kick)), 1.0)
@@ -335,21 +340,20 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
         else:
             u0 = qmath.haar_unitary(n, stream)
             candidates = []
-        u, f = _descend(u0, encoders, config.iterations, min_drop)
+        u, f = _descend(u0, encoders, config.iterations)
         for f_c, u_c in candidates + [(f, u)]:
             if f_c < best_f:
                 best_f, best_idx, best_u = f_c, idx, u_c
-    best_params = params_from_unitary(best_u)
     return LeakageResult(
         k=k,
         m=family.m,
         family_kind=family.kind,
-        best_gain=gain_from_params(best_params, family),
+        best_gain=float(np.log2(n)) - best_f,
         bound=_leakage_bound(family),
         restarts=config.restarts,
         iterations=config.iterations,
         seed=rng.seed,
-        best_params=best_params,
+        best_params=params_from_unitary(best_u),
         best_restart=best_idx,
     )
 

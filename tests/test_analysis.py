@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from obliq import analysis
 from obliq.analysis import (
     LeakageResult,
     OptimizerConfig,
@@ -147,6 +148,17 @@ class TestOneDrawSampling:
             assert abs(rep.parameters["min_sum_bits"] - float(ref[0])) <= 1e-12
 
 
+def _record_calls(monkeypatch, name, log):
+    """Replace analysis.<name> by a wrapper that appends `name` to `log` on each call."""
+    fn = getattr(analysis, name)
+
+    def wrapper(*args):
+        log.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(analysis, name, wrapper)
+
+
 class TestParameterization:
     def test_exponential_map_is_unitary(self):
         rng = SeededRng(6)
@@ -177,6 +189,40 @@ class TestMaxLeakage:
         fam = build_family(mub_family(3, 1))
         res = max_leakage(fam, QUICK, SeededRng(13))
         assert gain_from_params(res.best_params, fam) == pytest.approx(res.best_gain, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "k, m, restarts, iterations",
+        [(3, 2, 8, 400), (4, 2, 2, 2)],
+        ids=["mub32-haar-winner", "mub42"],
+    )
+    def test_best_gain_is_the_winners_gain(self, k, m, restarts, iterations):
+        # best_gain comes from the search's own objective, not a re-scoring
+        # of best_params; the two must still agree at n = 64 and n = 256
+        fam = build_family(mub_family(k, m))
+        res = max_leakage(fam, OptimizerConfig(restarts=restarts, iterations=iterations), SeededRng(21))
+        if restarts > 2 * k:
+            assert res.best_restart >= 2 * k  # a Haar start won
+        assert gain_from_params(res.best_params, fam) == pytest.approx(res.best_gain, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(200, 205))
+    def test_evaluation_budget(self, seed, monkeypatch):
+        # two near-stationary honest starts: one evaluation of the start, one
+        # of the kicked point and one accepted step each, with no rejected
+        # trial steps and no re-scoring of the winner
+        log = []
+        for name in ("_objective", "honest_basis", "invert_basis"):
+            _record_calls(monkeypatch, name, log)
+        max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(restarts=2, iterations=2), SeededRng(seed))
+        assert log.count("_objective") <= 6
+        assert log.count("honest_basis") + log.count("invert_basis") == 2
+
+    @pytest.mark.parametrize("restarts", [1, 4, 6, 9])
+    def test_structured_starts_built_only_when_run(self, restarts, monkeypatch):
+        built = []
+        for name in ("honest_basis", "invert_basis"):
+            _record_calls(monkeypatch, name, built)
+        max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(restarts=restarts, iterations=5), SeededRng(3))
+        assert built == (["honest_basis"] * 3 + ["invert_basis"] * 3)[: min(restarts, 6)]
 
     def test_deterministic(self):
         fam = explicit_single_bit_family()
@@ -224,6 +270,20 @@ class TestGradient:
                     exact.append(np.vdot(omega, a).real)
         fd, exact = np.array(fd), np.array(exact)
         assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 10.0])
+    def test_cayley_step_is_the_two_factor_form(self, n, mu):
+        stream = SeededRng(40 + n)
+        z = stream.gen.standard_normal((n, n)) + 1j * stream.gen.standard_normal((n, n))
+        omega = z - z.conj().T
+        u = haar_unitary(n, stream)
+        half = 0.5 * mu * omega
+        eye = np.eye(n)
+        expected = np.linalg.inv(eye + half) @ (eye - half) @ u
+        step = _cayley_step(u, omega, mu)
+        np.testing.assert_allclose(step, expected, rtol=0, atol=1e-12)
+        assert is_unitary(step, 1e-12)
 
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2)])
     def test_structured_starts_are_stationary(self, k, m):
