@@ -10,6 +10,7 @@ the machine contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,8 @@ def _positive(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
     parser = _Parser(prog="obliq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,9 +400,8 @@ def cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "demo":
             return cmd_demo(args)
         if args.command == "session":

@@ -194,10 +194,9 @@ class EncodingFamily:
         return qmath.kron_row(columns, qmath.rotate_blocks(d, self.k, self.m, i))
 
     def vec_times_encoder(self, vec: np.ndarray, i: int) -> np.ndarray:
-        """Row-vector product vec @ E_i via the Kronecker structure."""
+        """Row-vector product vec @ E_i via the Kronecker structure; P_i rotates its axes."""
         self._check_dense()
-        w = qmath.kron_apply([f.T for f in self.factors(i)], vec)
-        return w[qmath.rotation_index_map(self.k, self.m, i)]
+        return qmath.kron_apply([f.T for f in self.factors(i)], vec, i)
 
     def descriptor(self) -> dict:
         """JSON-serializable family descriptor for transcript embedding."""

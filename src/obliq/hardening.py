@@ -126,6 +126,8 @@ def xor_guess_attack(
         raise ValueError("the share-splitting attack model is for k=2")
     m = family.m
     bases = [invert_basis(family, g) for g in range(2)]
+    # made once per call: a matched round's outcome law depends only on (i, pair), its decode on (i, outcome)
+    laws, decodes = {}, {}
     successes = 0
     for t in range(trials):
         stream = rng.derive(t)
@@ -136,10 +138,14 @@ def xor_guess_attack(
             guess = int(stream.gen.integers(2))
             if i != guess:
                 break
-            state = protocol.vendor_encode(DatabaseState(2, m, pair), family, i)
-            outcome = protocol.sample_outcome(state, bases[guess], stream)
-            d = int(np.argmax(protocol.posterior(bases[guess], family, i, outcome)))
-            recovered.append(tuple(protocol.item_blocks(d, 2, m)))
+            if (i, pair) not in laws:
+                state = protocol.vendor_encode(DatabaseState(2, m, pair), family, i)
+                laws[i, pair] = np.cumsum(protocol.outcome_distribution(state, bases[i]))
+            outcome = protocol.draw_outcome(laws[i, pair], stream)
+            if (i, outcome) not in decodes:
+                d = int(np.argmax(protocol.posterior(bases[i], family, i, outcome)))
+                decodes[i, outcome] = tuple(protocol.item_blocks(d, 2, m))
+            recovered.append(decodes[i, outcome])
         else:  # every round's guess matched
             if xor_reconstruct(XorShares(r, m, tuple(recovered))) != db.items:
                 raise BoundViolation("matched guesses must reconstruct the database")

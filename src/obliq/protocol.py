@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,14 +75,14 @@ class MeasurementBasis:
     """A projective basis: the rows of the Kronecker chain of `factors`.
 
     A dense basis is a one-factor chain.  Bases built from several factors
-    (optionally with a row relabeling) keep that structure so they apply in
-    O(n log n) instead of O(n^2).
+    keep that structure so they apply in O(n log n) instead of O(n^2).
+    Outcome j is chain row j rotated by `rotation` m-bit blocks.
     """
 
     kind: str
     index: int | None
     factors: tuple
-    row_map: np.ndarray | None = field(default=None, repr=False)
+    rotation: int = 0
 
     def __post_init__(self):
         factors = []
@@ -99,24 +99,24 @@ class MeasurementBasis:
     def dim(self) -> int:
         return math.prod(f.shape[0] for f in self.factors)
 
+    def _chain_row(self, j):
+        """Chain row of outcome j (ints or integer arrays): j rotated by `rotation`."""
+        k, m = len(self.factors), self.factors[0].shape[0].bit_length() - 1
+        return qmath.rotate_blocks(j, k, m, self.rotation)
+
     @property
     def matrix(self) -> np.ndarray:
         mat = qmath.kron_chain(self.factors)
-        if self.row_map is not None:
-            mat = mat[self.row_map, :]
-        return mat
+        return mat[self._chain_row(np.arange(self.dim)), :] if self.rotation else mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """M @ state."""
-        out = qmath.kron_apply(self.factors, state)
-        if self.row_map is not None:
-            out = out[self.row_map]
-        return out
+        return qmath.kron_apply(self.factors, state, self.rotation)
 
     def row(self, j: int) -> np.ndarray:
         if not 0 <= j < self.dim:
             raise ValueError(f"outcome index {j} out of range")
-        return qmath.kron_row(self.factors, int(self.row_map[j]) if self.row_map is not None else j)
+        return qmath.kron_row(self.factors, self._chain_row(j) if self.rotation else j)
 
     def label(self) -> dict:
         return {"kind": self.kind, "index": self.index}
@@ -137,10 +137,7 @@ def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
     if not 0 <= guess < family.k:
         raise ValueError(f"guess {guess} out of range for k={family.k}")
     factors = tuple(a.conj().T for a in family.factors(guess))
-    row_map = qmath.rotation_index_map(family.k, family.m, guess)
-    return MeasurementBasis(
-        kind="invert", index=guess, factors=factors, row_map=row_map
-    )
+    return MeasurementBasis(kind="invert", index=guess, factors=factors, rotation=guess)
 
 
 def parity_basis() -> MeasurementBasis:
@@ -185,9 +182,13 @@ def outcome_distribution(state: np.ndarray, basis: MeasurementBasis) -> np.ndarr
 
 def sample_outcome(state: np.ndarray, basis: MeasurementBasis, rng: SeededRng) -> int:
     """Draw one outcome index from the measurement distribution."""
-    dist = outcome_distribution(state, basis)
-    j = int(np.searchsorted(np.cumsum(dist), rng.gen.random(), side="right"))
-    return min(j, dist.size - 1)
+    return draw_outcome(np.cumsum(outcome_distribution(state, basis)), rng)
+
+
+def draw_outcome(cdf: np.ndarray, rng: SeededRng) -> int:
+    """Draw one outcome index from a cumulative outcome distribution."""
+    j = int(np.searchsorted(cdf, rng.gen.random(), side="right"))
+    return min(j, cdf.size - 1)
 
 
 def posterior(basis: MeasurementBasis, family: EncodingFamily, i: int, j: int) -> np.ndarray:
@@ -417,7 +418,7 @@ def run_session(
         events=tuple(builder.events),
         outcome=outcome,
         announced=announced,
-        posterior=tuple(float(p) for p in post),
+        posterior=tuple(post.tolist()),
         decoded=decoded,
         seed=(rng.seed, rng.stream),
     )

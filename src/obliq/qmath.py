@@ -87,16 +87,21 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
-def kron_apply(factors, vec: np.ndarray) -> np.ndarray:
+def kron_apply(factors, vec: np.ndarray, rotation: int = 0) -> np.ndarray:
     """Apply (F_0 x F_1 x ... x F_{k-1}) to `vec` without forming the product.
 
     With transposed factors this is the row-vector product vec @ (F_0 x ... x F_{k-1}).
+    A nonzero `rotation` gathers the result through rotation_index_map(k, m,
+    rotation) by rotating the k axes.  Each factor is one product against
+    F^T of the tensor with that axis last, the operands np.tensordot forms.
     """
-    dims = [f.shape[0] for f in factors]
+    k, dims = len(factors), [f.shape[0] for f in factors]
     t = np.asarray(vec, dtype=complex).reshape(dims)
     for axis, f in enumerate(factors):
-        t = np.moveaxis(np.tensordot(t, np.asarray(f, complex).T, axes=(axis, 0)), -1, axis)
-    return t.reshape(-1)
+        last = [a for a in range(k) if a != axis] + [axis]
+        t = np.dot(t.transpose(last).reshape(-1, dims[axis]), np.asarray(f, complex).T)
+        t = t.reshape([dims[a] for a in last]).transpose([last.index(a) for a in range(k)])
+    return t.transpose([(a - rotation) % k for a in range(k)]).reshape(-1)
 
 
 def kron_row(factors, index: int) -> np.ndarray:
@@ -111,7 +116,7 @@ def kron_row(factors, index: int) -> np.ndarray:
         digits.append(digit)
     row = np.ones(1, dtype=complex)
     for f, b in zip(factors, reversed(digits)):
-        row = np.kron(row, f[b])
+        row = (row[:, None] * f[b][None, :]).reshape(-1)
     return row
 
 

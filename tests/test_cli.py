@@ -235,21 +235,35 @@ class TestScan:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_thread_count_never_changes_csv(self, tmp_path, capsys, monkeypatch):
-        args = ["scan", "--k", "2..3", "--m", "1..2", "--restarts", "3", "--iters", "30", "--seed", "4"]
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("OBLIQ_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            assert run(args + ["--out", str(out)], capsys)[0] == EXIT_OK
-            outputs.append(out.read_bytes())
+        def csv(restarts, iters):
+            args = ["scan", "--k", "2..3", "--m", "1..2", "--restarts", restarts, "--iters", iters, "--seed", "4"]
+            outputs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("OBLIQ_THREADS", threads)
+                out = tmp_path / f"t{threads}.csv"
+                assert run(args + ["--out", str(out)], capsys)[0] == EXIT_OK
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+            return outputs[0]
+
         # pinned figures: with 3 restarts every cell keeps its best structured start
-        assert outputs[0] == outputs[1] == (
+        assert csv("3", "30") == (
             b"k,m,family,best_gain_bits,bound_bits,restarts,iters,seed\n"
             b"2,1,mub,1.000000000,1.000000000,3,30,4\n"
             b"2,2,mub,2.000000000,2.000000000,3,30,4\n"
             b"3,1,mub,1.000000000,1.500000000,3,30,4\n"
             b"3,2,mub,2.000000000,3.000000000,3,30,4\n"
             b"# fit c=1.000000 alpha=0.000000 reference c=0.4 alpha=0.7\n"
+        )
+        # 8 restarts exceed 2k in every cell, so every cell on the thread pool
+        # runs Haar descents; at k = 3 a Haar descent wins
+        assert csv("8", "40") == (
+            b"k,m,family,best_gain_bits,bound_bits,restarts,iters,seed\n"
+            b"2,1,mub,1.000000000,1.000000000,8,40,4\n"
+            b"2,2,mub,2.000000000,2.000000000,8,40,4\n"
+            b"3,1,mub,1.333333313,1.500000000,8,40,4\n"
+            b"3,2,mub,2.687053163,3.000000000,8,40,4\n"
+            b"# fit c=0.607559 alpha=0.718903 reference c=0.4 alpha=0.7\n"
         )
 
     def test_bound_violation_exits_2_without_traceback(self, capsys, monkeypatch):

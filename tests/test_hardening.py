@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from obliq import gf2
+from obliq import gf2, protocol
 from obliq.encodings import explicit_single_bit_family, walsh_family
 from obliq.hardening import (
     GfMask,
@@ -215,6 +215,22 @@ class TestGuessAttack:
             assert xor_guess_attack(fam, db, r, 3000, SeededRng(1000 + r))["frequency"] == freq
         rep = xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 2, 2000, SeededRng(102))
         assert rep["frequency"] == 0.243
+
+    def test_each_round_law_and_decode_computed_once(self, monkeypatch):
+        # one encode per distinct (announced i, share pair), one posterior per
+        # distinct (i, outcome), however many trials reach them
+        fam = walsh_family(2)
+        column, post = fam.encode_column, protocol.posterior
+        encodes, decodes = [], []
+        monkeypatch.setattr(fam, "encode_column", lambda i, d: encodes.append((i, d)) or column(i, d))
+        monkeypatch.setattr(
+            protocol, "posterior", lambda basis, f, i, j: decodes.append((i, j)) or post(basis, f, i, j)
+        )
+        rep = xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 3, 400, SeededRng(11))
+        assert rep["frequency"] > 0
+        assert encodes and len(encodes) == len(set(encodes))
+        assert decodes and len(decodes) == len(set(decodes))
+        assert len(encodes) <= 2 * 16 and len(decodes) <= 2 * 16
 
     def test_failed_reconstruction_is_a_bound_violation(self, monkeypatch):
         fam = walsh_family(2)

@@ -1,5 +1,6 @@
 """Session engine: encoding, measurement, Bayes, decoding, transcripts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from obliq.encodings import (
     tensorized_family,
     walsh_family,
 )
+from obliq.hardening import GfMask
 from obliq.protocol import (
     DatabaseState,
     MeasurementBasis,
@@ -359,6 +361,41 @@ def round_trip_cases(draw):
     kind, k, m, r = draw(st.sampled_from(ROUND_TRIP_CELLS))
     items = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k)))
     return kind, k, m, r, items, draw(st.integers(0, k - 1))
+
+
+class TestTranscriptBytes:
+    """Pinned sha256 of whole transcripts, n = 4096 included (figures of the tensordot kernels)."""
+
+    @pytest.mark.parametrize(
+        "k, m, db, index, strategy, seed, digest",
+        [
+            (3, 4, 0x2C9, 2, "honest", 11, "188bed297265589864f8ffcffce89e415e84ac4e4c836f2992a7960860f68603"),
+            (3, 4, 0x2C9, 2, "invert", 11, "e71e42ae93d635bc9a5ea74e55d4ee6296eebde3debdc87ce344fb3d83536b94"),
+            (3, 4, 0x2C9, 2, "invert", 12, "204d1e2aa0e5380e39164a4632cde4f9e47fb1151340040ea03b1ca173ac7ba7"),
+            (4, 3, 0xA5C, 1, "honest", 8, "cd1d4b4ee4c2420607dcb1542176118a23de5f6531b2cebe0326142daed7a07a"),
+            (4, 3, 0xA5C, 1, "invert", 8, "7144fb18d2f96d2dae737320310049642eddefab9d779374a4129912bb8d2613"),
+            (4, 3, 0xA5C, 1, "invert", 9, "5f8d6d8e2be874b99f55bd4a5efbcb6995b3070f6ac7371cfa881e7f1d5ac64d"),
+        ],
+    )
+    def test_mub_sessions(self, k, m, db, index, strategy, seed, digest):
+        # seeds 11 and 8 announce the guessed index, so those invert sessions
+        # pin the whole configuration; seeds 12 and 9 announce another
+        fam = build_family(mub_family(k, m))
+        basis = honest_basis(fam, index) if strategy == "honest" else invert_basis(fam, index)
+        text = run_session(DatabaseState.from_index(db, k, m), fam, basis, SeededRng(seed)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_parity_session(self, explicit):
+        text = run_session(DatabaseState(2, 1, (1, 0)), explicit, parity_basis(), SeededRng(3)).to_json()
+        digest = "9a63654b4ce322394d59967e08f194dc4efd75ac87902192d1863b75a6cc51ba"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_masked_session(self):
+        fam = walsh_family(3)
+        db, mask = DatabaseState(2, 3, (5, 2)), GfMask(3, 6, 3)
+        text = run_session(db, fam, honest_basis(fam, 1), SeededRng(12), mask=mask).to_json()
+        digest = "b1465824d5173f67c6fd50ef8ccd98d0347a9ed0ebab7d6cdffff3f009ec0923"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestHonestRoundTrip:

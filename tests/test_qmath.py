@@ -97,6 +97,67 @@ class TestPredicates:
             np.testing.assert_array_equal(kron_row([f.T for f in factors], j), dense[:, j])
 
 
+def tensordot_kron_apply(factors, vec):
+    """The tensordot form of kron_apply: one tensordot and one moveaxis per factor."""
+    dims = [f.shape[0] for f in factors]
+    t = np.asarray(vec, dtype=complex).reshape(dims)
+    for axis, f in enumerate(factors):
+        t = np.moveaxis(np.tensordot(t, np.asarray(f, complex).T, axes=(axis, 0)), -1, axis)
+    return t.reshape(-1)
+
+
+def np_kron_row(factors, index):
+    """The np.kron form of kron_row."""
+    digits = []
+    for f in reversed(factors):
+        index, digit = divmod(index, f.shape[0])
+        digits.append(digit)
+    row = np.ones(1, dtype=complex)
+    for f, b in zip(factors, reversed(digits)):
+        row = np.kron(row, f[b])
+    return row
+
+
+class TestKronBytes:
+    """The Kronecker kernels give the very bits of their numpy-wrapper forms."""
+
+    DIMS = ((4,), (2, 2), (2, 4), (4, 2, 8), (2, 2, 2, 2), (8, 8, 8), (16, 16, 16), (4, 4, 4, 4, 4))
+
+    @staticmethod
+    def factors(dims, seed):
+        rng = SeededRng(seed)
+        return [haar_unitary(d, rng.derive(i)) for i, d in enumerate(dims)]
+
+    def test_kron_apply_equals_tensordot_form(self):
+        for seed, dims in enumerate(self.DIMS):
+            factors = self.factors(dims, seed)
+            gen = np.random.default_rng(seed)
+            vec = gen.standard_normal(int(np.prod(dims))) + 1j * gen.standard_normal(int(np.prod(dims)))
+            for fs in (factors, [f.T for f in factors], [f.conj().T for f in factors]):
+                np.testing.assert_array_equal(kron_apply(fs, vec), tensordot_kron_apply(fs, vec))
+
+    def test_kron_row_equals_np_kron_form(self):
+        for seed, dims in enumerate(self.DIMS):
+            factors = self.factors(dims, 100 + seed)
+            n = int(np.prod(dims))
+            for fs in (factors, [f.T for f in factors]):
+                for j in sorted({0, 1, n // 3, n // 2 + 1, n - 1}):
+                    np.testing.assert_array_equal(kron_row(fs, j), np_kron_row(fs, j))
+
+    def test_rotated_apply_equals_the_index_gather(self):
+        # output index d of a rotated apply is product index rot_i(d)
+        for k in (2, 3, 4):
+            for m in (1, 2):
+                factors = self.factors((1 << m,) * k, 10 * k + m)
+                gen = np.random.default_rng(k + m)
+                vec = gen.standard_normal(1 << (k * m)) + 1j * gen.standard_normal(1 << (k * m))
+                plain = kron_apply(factors, vec)
+                for i in range(k):
+                    np.testing.assert_array_equal(
+                        kron_apply(factors, vec, i), plain[rotation_index_map(k, m, i)]
+                    )
+
+
 class TestLinfOverlap:
     """`max_pairwise_overlap`: the largest entry magnitude of any A_i^dag A_j."""
 
