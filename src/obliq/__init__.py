@@ -1,5 +1,14 @@
 """obliq: a seeded simulator and analysis lab for coherence-limited private database queries."""
 
+import os
+import sys
+
+# obliq runs its own worker pool (qmath.parallel_map); BLAS threads on top of
+# it would multiply.  OpenBLAS reads this only when numpy loads, so it is set
+# only before that, and a value the user chose is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     BoundReport,
     LeakageResult,

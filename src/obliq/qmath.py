@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, entropy functionals, block rotations, seeded RNG.
+"""Dense complex linear algebra, entropy functionals, block rotations, seeded RNG, the worker pool.
 
 Conventions shared by the whole package:
 
@@ -11,6 +11,10 @@ Conventions shared by the whole package:
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -33,18 +37,34 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# Philox(key=...) would first seed itself from system entropy and then drop
+# it; a fixed SeedSequence seeds it instead, and the key is set as its state.
+_FIXED_SEED = np.random.SeedSequence(0)
+
+
 class SeededRng:
     """Counter-based random source; (seed, stream) fully determine the draws.
 
     Derived streams are stable across runs, so parallel trials can each own
-    a child stream without coordination.
+    a child stream without coordination.  No system entropy is read.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        bits = np.random.Philox(_FIXED_SEED)
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([self.seed, self.stream], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.gen = np.random.Generator(bits)
 
     def derive(self, index: int) -> "SeededRng":
         """Child stream number `index` of this stream."""
@@ -157,17 +177,25 @@ def haar_unitaries(dim: int, count: int, rng: SeededRng) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries.
 
     QR of a complex standard-Gaussian matrix, with the R diagonal phase
-    pulled into Q so the distribution is exactly Haar.
+    pulled into Q so the distribution is exactly Haar.  The Gaussians are
+    drawn serially, in one stream order; the QR runs on sub-batches across
+    the worker pool, one LAPACK call per matrix, so no bit depends on the
+    split.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     g = rng.gen
     z = g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))
     z /= np.sqrt(2.0)
+    parallel_map(_haar_fix, np.array_split(z, max(1, min(worker_count(), count))))
+    return z
+
+
+def _haar_fix(z: np.ndarray) -> None:
+    """Overwrite each Gaussian matrix of `z` with its phase-fixed Q factor."""
     q, r = np.linalg.qr(z)
     d = np.einsum("...ii->...i", r)
-    q = q * (d / np.abs(d))[:, None, :]
-    return q
+    np.multiply(q, (d / np.abs(d))[:, None, :], out=z)
 
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
@@ -198,3 +226,90 @@ def rotation_index_map(k: int, m: int, i: int) -> np.ndarray:
 def rotate_blocks(d, k: int, m: int, i: int):
     """Left-rotate the k m-bit blocks of index d by i; ints or integer arrays."""
     return ((d << (m * i)) | (d >> (m * (k - i)))) & ((1 << (k * m)) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+
+def worker_count() -> int:
+    """Thread cap: OBLIQ_THREADS if set, else the cores when BLAS runs one thread, else 1.
+
+    obliq pins OPENBLAS_NUM_THREADS to 1 when it is imported before numpy;
+    otherwise BLAS may already run a thread per core, and a second pool of
+    that size would multiply with it.
+    """
+    env = os.environ.get("OBLIQ_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        return max(1, os.cpu_count() or 1)
+    return 1
+
+
+class _Pool:
+    """One process-wide thread pool, made on first use and grown when needed."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._size = 0
+        self._local = threading.local()
+
+    def in_worker(self) -> bool:
+        return getattr(self._local, "busy", False)
+
+    def run(self, lane, lanes: int) -> None:
+        """Run `lane` on `lanes` threads at once, the calling thread one of them."""
+        with self._lock:
+            if self._size < lanes - 1:
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False)
+                self._executor = ThreadPoolExecutor(max_workers=lanes - 1, thread_name_prefix="obliq")
+                self._size = lanes - 1
+            futures = [self._executor.submit(self._marked, lane) for _ in range(lanes - 1)]
+        try:
+            self._marked(lane)
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
+
+    def _marked(self, lane) -> None:
+        self._local.busy = True
+        try:
+            lane()
+        finally:
+            self._local.busy = False
+
+
+_POOL = _Pool()
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(x) for x in items] on up to worker_count() threads, results in item order.
+
+    A call from inside a worker runs inline on that worker, so pools never
+    nest.  Items are handed out one at a time, so uneven items balance.
+    """
+    items = list(items)
+    lanes = min(worker_count(), len(items))
+    if lanes <= 1 or _POOL.in_worker():
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    todo = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def lane():
+        while True:
+            with lock:
+                idx = next(todo, None)
+            if idx is None:
+                return
+            results[idx] = fn(items[idx])
+
+    _POOL.run(lane, lanes)
+    return results

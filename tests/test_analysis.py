@@ -432,7 +432,7 @@ class TestMeasurementAudits:
 
 class TestWorkerControl:
     def test_env_cap_respected(self, monkeypatch):
-        from obliq.analysis import worker_count
+        from obliq.qmath import worker_count
 
         monkeypatch.setenv("OBLIQ_THREADS", "2")
         assert worker_count() == 2
@@ -449,6 +449,19 @@ class TestWorkerControl:
         assert seq.best_gain == par.best_gain
         assert seq.best_restart == par.best_restart
         np.testing.assert_array_equal(seq.best_params, par.best_params)
+
+    @pytest.mark.parametrize("k, m, restarts", [(3, 2, 9), (4, 2, 3)], ids=["mub32-haar", "mub42-structured"])
+    def test_thread_count_never_changes_pooled_restarts(self, k, m, restarts, monkeypatch):
+        # from n = 64 the restarts run on the pool; the winner is still the earliest lowest f
+        fam = build_family(mub_family(k, m))
+        cfg = OptimizerConfig(restarts=restarts, iterations=20)
+        results = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("OBLIQ_THREADS", threads)
+            results.append(max_leakage(fam, cfg, SeededRng(50)))
+        for r in results[1:]:
+            assert (r.best_gain, r.best_restart) == (results[0].best_gain, results[0].best_restart)
+            np.testing.assert_array_equal(r.best_params, results[0].best_params)
 
 
 class TestLeakageTrend:

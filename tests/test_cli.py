@@ -1,13 +1,19 @@
 """Command-line contract: flags, exit codes, deterministic outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obliq
 from obliq import analysis
 from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
 
@@ -172,6 +178,29 @@ class TestVerify:
     def test_honest_suite(self, capsys):
         code, _, _ = run(["verify", "--suite", "honest", "--seed", "8"], capsys)
         assert code == EXIT_OK
+
+    def test_hk_pair_output_pinned(self, capsys):
+        # the identity encoder is scored without a product; the bytes are the product form's
+        code, out, _ = run(["verify", "--suite", "hk", "--k", "2", "--m", "3", "--seed", "6"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2b93b506056f6274547e3bcc43b02cb53ca8d0dfa5e06a119d796582708bb4ac"
+        )
+
+    def test_all_suites_output_pinned_under_one_and_two_threads(self):
+        env = {k: v for k, v in os.environ.items() if k not in ("OBLIQ_THREADS", "OPENBLAS_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(obliq.__file__).parent.parent)
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "obliq.cli", "verify", "--suite", "all", "--seed", "3"],
+                env={**env, "OBLIQ_THREADS": threads},
+                capture_output=True,
+                timeout=300,
+            )
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+            assert hashlib.sha256(proc.stdout).hexdigest() == (
+                "100c45601a89bdb602957a3ea5052eb07f35e9d1d8785ae3bbb85af5a232ba73"
+            )
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(["verify", "--suite", "nope", "--seed", "1"], capsys)

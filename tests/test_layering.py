@@ -1,4 +1,5 @@
-"""Module layering: no obliq module reads a `_`-prefixed name of a sibling module."""
+"""Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
+and only `qmath` owns a worker pool."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,46 @@ def test_detector_flags_each_import_form():
         (7, "gf2._poly_rem"),
         (7, "qmath._splitmix64"),
     ]
+
+
+POOL_NAMES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+
+
+def pool_names(source: str) -> list:
+    """(line, name) for every import or use of an executor class in the source."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        hits += [(node.lineno, name) for name in names if name in POOL_NAMES]
+    return sorted(hits)
+
+
+def test_only_qmath_owns_a_pool():
+    found = [
+        f"{path.name}:{line} names {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "qmath"
+        for line, name in pool_names(path.read_text())
+    ]
+    assert found == []
+
+
+def test_pool_detector_flags_each_form():
+    source = "\n".join(
+        [
+            "from concurrent.futures import ThreadPoolExecutor as TPE",
+            "import concurrent.futures as cf",
+            "def f(items):",
+            "    with cf.ProcessPoolExecutor(2) as pool:",
+            "        return ThreadPoolExecutor, pool.map(len, items)",
+            "executor = None  # the word alone is no pool",
+        ]
+    )
+    assert pool_names(source) == [(1, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "ThreadPoolExecutor")]

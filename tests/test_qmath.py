@@ -1,8 +1,15 @@
-"""Core linear algebra, entropy, block-rotation, and RNG contracts."""
+"""Core linear algebra, entropy, block-rotation, RNG and worker-pool contracts."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obliq
 from obliq.encodings import ItemBasisFamily, walsh_family
 from obliq.qmath import (
     SeededRng,
@@ -15,8 +22,10 @@ from obliq.qmath import (
     kron_apply,
     kron_chain,
     kron_row,
+    parallel_map,
     rotate_blocks,
     rotation_index_map,
+    worker_count,
 )
 
 W2 = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
@@ -258,6 +267,101 @@ class TestHaar:
         assert abs(plain - rotated) < 6 * sigma
 
 
+def haar_whole_batch(dim: int, count: int, rng: SeededRng) -> np.ndarray:
+    """The one-call form haar_unitaries had before its QR was split over workers."""
+    g = rng.gen
+    z = g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("dim,count", [(2, 2048), (8, 2048), (64, 200), (256, 3), (4, 1)])
+    def test_haar_bits_never_depend_on_the_thread_count(self, dim, count, monkeypatch):
+        reference = haar_whole_batch(dim, count, SeededRng(17, dim))
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("OBLIQ_THREADS", threads)
+            np.testing.assert_array_equal(haar_unitaries(dim, count, SeededRng(17, dim)), reference)
+
+    def test_each_item_runs_once_in_item_order_under_fast_thread_switching(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "8")  # more lanes than cores
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return -x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = parallel_map(record, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-x for x in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    def test_a_call_inside_a_worker_runs_on_that_worker(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+        both_lanes = threading.Barrier(2, timeout=10)  # items 0 and 1 run on different threads
+
+        def outer(x):
+            if x < 2:
+                both_lanes.wait()
+            inner = parallel_map(lambda _: threading.get_ident(), range(4))
+            return threading.get_ident(), inner
+
+        results = parallel_map(outer, range(6))
+        assert len({own for own, _ in results}) == 2  # the caller and one pool thread
+        for own, inner in results:
+            assert inner == [own] * 4
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+
+        def fail_on_three(x):
+            if x == 3:
+                raise ValueError("item 3")
+            return x
+
+        with pytest.raises(ValueError, match="item 3"):
+            parallel_map(fail_on_three, range(8))
+
+
+def probe(code: str, **env) -> list:
+    """Run `code` in a fresh interpreter with obliq's thread variables as given; its printed words."""
+    full = {k: v for k, v in os.environ.items() if k not in ("OBLIQ_THREADS", "OPENBLAS_NUM_THREADS")}
+    full["PYTHONPATH"] = str(Path(obliq.__file__).parent.parent)
+    full.update(env)
+    out = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout.split()
+
+
+REPORT = "import os; from obliq import qmath; print(os.environ.get('OPENBLAS_NUM_THREADS'), qmath.worker_count())"
+
+
+class TestBlasPin:
+    def test_import_before_numpy_pins_blas_and_uses_every_core(self):
+        assert probe("import obliq; " + REPORT) == ["1", str(os.cpu_count())]
+
+    def test_numpy_first_leaves_blas_alone_and_runs_one_worker(self):
+        assert probe("import numpy, obliq; " + REPORT) == ["None", "1"]
+
+    def test_a_user_value_is_kept(self):
+        assert probe("import obliq; " + REPORT, OPENBLAS_NUM_THREADS="3") == ["3", "1"]
+        assert probe("import obliq; " + REPORT, OPENBLAS_NUM_THREADS="3", OBLIQ_THREADS="2") == ["3", "2"]
+
+    def test_worker_rule(self, monkeypatch):
+        monkeypatch.delenv("OBLIQ_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert worker_count() == max(1, os.cpu_count() or 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert worker_count() == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert worker_count() == 1
+
+
 class TestRotationPermutation:
     def test_k2_swap(self):
         p = rotation_permutation(2, 1, 1)
@@ -317,3 +421,20 @@ class TestSeededRng:
     def test_derivation_stable(self):
         assert SeededRng(5).derive(7).stream == SeededRng(5).derive(7).stream
         assert SeededRng(5).derive(7).stream != SeededRng(5).derive(8).stream
+
+    def test_no_system_entropy_is_read(self, monkeypatch):
+        import secrets
+
+        import numpy.random.bit_generator as bit_generator
+
+        def refuse(*args):
+            raise AssertionError("system entropy read")
+
+        monkeypatch.setattr(secrets, "randbits", refuse)
+        monkeypatch.setattr(bit_generator, "randbits", refuse)  # numpy's own binding of it
+        rng = SeededRng(5, 99)
+        # pinned figures: the draws of Philox keyed (seed, stream) with a zero counter
+        assert rng.gen.random(3).tolist() == [0.45095144440054125, 0.7847740811344686, 0.8225749167351668]
+        child = rng.derive(2)
+        assert child.stream == 5994361799526217112
+        assert child.gen.standard_normal(2).tolist() == [0.14986260595449952, -0.8061282410343552]
