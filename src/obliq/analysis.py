@@ -21,7 +21,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import qmath
 from .encodings import EncodingFamily, build_family, check_desk_cell, mub_family, random_family, walsh_matrix
@@ -191,6 +190,8 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
 
     H has diagonal theta[:n] and upper triangle theta[n::2] + i theta[n+1::2].
     """
+    import scipy.linalg  # only here, so importing obliq does not load scipy
+
     u = qmath.as_operator(u)
     n = u.shape[0]
     t, z = scipy.linalg.schur(u, output="complex")

@@ -353,8 +353,8 @@ def _completeness_violations(family) -> int:
         mat = basis.matrix
         for i in range(k):
             probs = outcome_probs(mat, family, i)
-            decoded = np.array([protocol.decode_item(o, i, j, k, m) for o in range(n)])
-            items_j = np.array([protocol.item_blocks(d, k, m)[j] for d in range(n)])
+            decoded = protocol.decode_item(np.arange(n), i, j, k, m)
+            items_j = protocol.item_blocks(np.arange(n), k, m)[j]
             support = probs > 1e-18
             ok = decoded[:, None] == items_j[None, :]
             bad += int(np.logical_and(support, ~ok).sum())

@@ -6,8 +6,9 @@ it to the joint configuration space: C_i is the cyclically rotated Kronecker
 chain starting at A_i, and the encoder E_i = C_i P_i first rotates the item
 blocks of the configuration index and then applies C_i.
 
-Every constructor certifies its family numerically before returning it; an
-uncertified family cannot exist.
+Every constructor certifies its item bases numerically before returning the
+family, so an uncertified family cannot exist; a dense encoder is certified
+when it is first built.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ CYCLIC_QUBIT = np.exp(1j * np.pi / 12) * ALPHA_2
 VALID_KINDS = ("walsh", "mub", "cyclic", "random", "tensorized", "explicit")
 
 # Desk-scale limits.  Every command stays within k*m <= MAX_KM, so the joint
-# space never exceeds MAX_DENSE_DIM; dense encoders are certified at build up
-# to CERTIFY_DIM and cached up to CACHE_DIM.
+# space never exceeds MAX_DENSE_DIM; a dense encoder up to CERTIFY_DIM is
+# certified and cached when first built.
 MAX_KM = 12
 MAX_DENSE_DIM = 1 << MAX_KM
 CERTIFY_DIM = 256
-CACHE_DIM = 1024
 
 
 def check_desk_cell(k: int, m: int) -> None:
@@ -134,12 +134,6 @@ class EncodingFamily:
     basis: ItemBasisFamily
     _dense_cache: dict = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if self.n <= CERTIFY_DIM:
-            for i in range(self.k):
-                if not qmath.is_unitary(self.encoder(i), DEFAULT_TOL):
-                    raise CertificationError(f"encoder E_{i} failed unitarity")
-
     @property
     def k(self) -> int:
         return self.basis.k
@@ -174,13 +168,15 @@ class EncodingFamily:
             )
 
     def encoder(self, i: int) -> np.ndarray:
-        """Dense E_i = C_i P_i (columns of C_i gathered by the block rotation)."""
+        """Dense E_i = C_i P_i; up to CERTIFY_DIM it is certified, frozen and cached when first built."""
         self._check_dense()
         if i in self._dense_cache:
             return self._dense_cache[i]
         c = qmath.kron_chain(self.factors(i))
         e = c[:, qmath.rotation_index_map(self.k, self.m, i)]
-        if self.n <= CACHE_DIM:
+        if self.n <= CERTIFY_DIM:
+            if not qmath.is_unitary(e, DEFAULT_TOL):
+                raise CertificationError(f"encoder E_{i} failed unitarity")
             e.setflags(write=False)
             self._dense_cache[i] = e
         return e

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2, protocol
+from . import gf2, protocol, qmath
 from .encodings import EncodingFamily
 from .protocol import DatabaseState, MeasurementBasis, SessionTranscript, invert_basis
 from .qmath import BoundViolation, SeededRng
@@ -206,10 +206,8 @@ def bit_targeting_audit(
         observed_bit = (masked >> target_bit) & 1
         true_d = int(gen.integers(limit))
         support = values[observed_bit == observed_bit[true_d]]
-        for s in range(m):
-            p1 = float(((support >> s) & 1).mean())
-            if 0.0 < p1 < 1.0:
-                bit_entropy[s] += -(p1 * np.log2(p1) + (1 - p1) * np.log2(1 - p1))
+        p1 = ((support[:, None] >> np.arange(m)) & 1).mean(axis=0)
+        bit_entropy += qmath.entropy_rows(np.stack([p1, 1 - p1], axis=1))
     bit_entropy /= trials
     return {
         "m": m,

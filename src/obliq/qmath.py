@@ -12,6 +12,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -250,66 +251,48 @@ def worker_count() -> int:
     return 1
 
 
-class _Pool:
-    """One process-wide thread pool, made on first use and grown when needed."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._executor = None
-        self._size = 0
-        self._local = threading.local()
-
-    def in_worker(self) -> bool:
-        return getattr(self._local, "busy", False)
-
-    def run(self, lane, lanes: int) -> None:
-        """Run `lane` on `lanes` threads at once, the calling thread one of them."""
-        with self._lock:
-            if self._size < lanes - 1:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False)
-                self._executor = ThreadPoolExecutor(max_workers=lanes - 1, thread_name_prefix="obliq")
-                self._size = lanes - 1
-            futures = [self._executor.submit(self._marked, lane) for _ in range(lanes - 1)]
-        try:
-            self._marked(lane)
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
-
-    def _marked(self, lane) -> None:
-        self._local.busy = True
-        try:
-            lane()
-        finally:
-            self._local.busy = False
+_LANE = threading.local()  # .busy is set while this thread runs a parallel_map lane
 
 
-_POOL = _Pool()
+@functools.cache
+def _executor(size: int) -> ThreadPoolExecutor:
+    """The process-wide pool threads for `size` + 1 lanes; the caller is the extra lane."""
+    return ThreadPoolExecutor(max_workers=size, thread_name_prefix="obliq")
 
 
 def parallel_map(fn, items) -> list:
     """[fn(x) for x in items] on up to worker_count() threads, results in item order.
 
-    A call from inside a worker runs inline on that worker, so pools never
-    nest.  Items are handed out one at a time, so uneven items balance.
+    The calling thread runs one lane and the cached executor the others.  A
+    call from inside a lane runs inline on that lane, so pools never nest.
+    Items are handed out one at a time, so uneven items balance.
     """
     items = list(items)
-    lanes = min(worker_count(), len(items))
-    if lanes <= 1 or _POOL.in_worker():
+    workers = worker_count()
+    lanes = min(workers, len(items))
+    if lanes <= 1 or getattr(_LANE, "busy", False):
         return [fn(x) for x in items]
     results = [None] * len(items)
     todo = iter(range(len(items)))
     lock = threading.Lock()
 
     def lane():
-        while True:
-            with lock:
-                idx = next(todo, None)
-            if idx is None:
-                return
-            results[idx] = fn(items[idx])
+        _LANE.busy = True
+        try:
+            while True:
+                with lock:
+                    idx = next(todo, None)
+                if idx is None:
+                    return
+                results[idx] = fn(items[idx])
+        finally:
+            _LANE.busy = False
 
-    _POOL.run(lane, lanes)
+    futures = [_executor(workers - 1).submit(lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
     return results

@@ -342,3 +342,31 @@ class TestSingleCertificationPass:
         fam = build_family(mub_family(9, 3))
         assert fam.pairwise_hadamard
         assert len(calls) == 9 * 8 // 2
+
+
+class TestEncoderCertification:
+    def test_build_makes_no_joint_space_unitarity_check(self, monkeypatch):
+        from obliq import qmath
+
+        bases = [explicit_single_bit_family().basis, mub_family(3, 2), mub_family(4, 2)]
+        bases.append(tensorized_family(2, 4, 4, SeededRng(3)))
+        shapes = []
+        real = qmath.is_unitary
+        monkeypatch.setattr(qmath, "is_unitary", lambda mat, tol=1e-9: shapes.append(np.shape(mat)) or real(mat, tol))
+        for basis in bases:
+            fam = build_family(basis)
+            assert shapes == []
+            fam.encoder(1)
+            assert shapes == [(fam.n, fam.n)]  # certified when first built
+            fam.encoder(1)
+            assert shapes == [(fam.n, fam.n)]  # then read from the cache
+            shapes.clear()
+
+    def test_corrupt_factor_fails_at_first_encoder_and_caches_nothing(self):
+        fam = explicit_single_bit_family()
+        a1 = fam.basis.matrices[1]
+        a1.setflags(write=True)
+        a1 *= 1.1  # E_0 = A_0 x A_1 is no longer unitary
+        with pytest.raises(CertificationError, match="E_0"):
+            fam.encoder(0)
+        assert fam._dense_cache == {}

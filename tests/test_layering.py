@@ -1,7 +1,10 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
-and only `qmath` owns a worker pool."""
+only `qmath` owns a worker pool, and importing obliq loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import obliq
@@ -119,3 +122,64 @@ def test_pool_detector_flags_each_form():
         ]
     )
     assert pool_names(source) == [(1, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "ThreadPoolExecutor")]
+
+
+def eager_scipy_imports(source: str) -> list:
+    """(line, module) for every scipy import that runs when the source is imported."""
+    hits = []
+    todo = [ast.parse(source)]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # a function body runs only when called
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            hits += [(node.lineno, name) for name in names if name.split(".")[0] == "scipy"]
+            todo.append(node)
+    return sorted(hits)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in eager_scipy_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def test_scipy_detector_flags_only_eager_imports():
+    source = "\n".join(
+        [
+            "import scipy.linalg",
+            "from scipy import stats as st",
+            "import numpy, scipy",
+            "if st:",
+            "    from scipy.special import xlogy",
+            "class C:",
+            "    import scipy.optimize",
+            "def f(u):",
+            "    import scipy.linalg  # runs only when f is called",
+            "    return scipy.linalg.schur(u)",
+            "from .scipy_tools import g",
+            "import scipyx",
+        ]
+    )
+    assert eager_scipy_imports(source) == [
+        (1, "scipy.linalg"),
+        (2, "scipy"),
+        (3, "scipy"),
+        (5, "scipy.special"),
+        (7, "scipy.optimize"),
+    ]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, obliq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["[]"]

@@ -327,6 +327,36 @@ class TestWorkerPool:
 
         with pytest.raises(ValueError, match="item 3"):
             parallel_map(fail_on_three, range(8))
+        both_lanes = threading.Barrier(2, timeout=10)  # the error left neither lane marked busy
+
+        def square(x):
+            if x < 2:
+                both_lanes.wait()
+            return x * x
+
+        assert parallel_map(square, range(8)) == [x * x for x in range(8)]
+
+    def test_warm_calls_start_no_thread(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+        parallel_map(abs, range(4))
+        before = threading.active_count()
+        for _ in range(50):
+            assert parallel_map(abs, range(-4, 0)) == [4, 3, 2, 1]
+        assert threading.active_count() == before
+
+    def test_more_threads_between_calls_give_more_lanes(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+        parallel_map(abs, range(4))
+        monkeypatch.setenv("OBLIQ_THREADS", "3")
+        all_lanes = threading.Barrier(3, timeout=10)  # items 0-2 each hold a lane until all three arrive
+
+        def lane_ident(x):
+            if x < 3:
+                all_lanes.wait()
+            return threading.get_ident()
+
+        idents = set(parallel_map(lane_ident, range(6)))
+        assert len(idents) == 3 and threading.get_ident() in idents  # the caller is one of the lanes
 
 
 def probe(code: str, **env) -> list:
