@@ -76,13 +76,16 @@ class MeasurementBasis:
 
     A dense basis is a one-factor chain.  Bases built from several factors
     keep that structure so they apply in O(n log n) instead of O(n^2).
-    Outcome j is chain row j rotated by `rotation` m-bit blocks.
+    Outcome j is chain row j rotated by `rotation` m-bit blocks.  `items`,
+    when set, names the item basis A_s of the family that factor r is the
+    adjoint of, so `posterior` can factor per slot.
     """
 
     kind: str
     index: int | None
     factors: tuple
     rotation: int = 0
+    items: tuple | None = None
 
     def __post_init__(self):
         factors = []
@@ -127,9 +130,7 @@ def honest_basis(family: EncodingFamily, j: int) -> MeasurementBasis:
     if not 0 <= j < family.k:
         raise ValueError(f"choice {j} out of range for k={family.k}")
     adj = family.basis.matrices[j].conj().T
-    return MeasurementBasis(
-        kind="honest", index=j, factors=(adj,) * family.k
-    )
+    return MeasurementBasis(kind="honest", index=j, factors=(adj,) * family.k, items=(j,) * family.k)
 
 
 def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
@@ -137,7 +138,8 @@ def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
     if not 0 <= guess < family.k:
         raise ValueError(f"guess {guess} out of range for k={family.k}")
     factors = tuple(a.conj().T for a in family.factors(guess))
-    return MeasurementBasis(kind="invert", index=guess, factors=factors, rotation=guess)
+    items = tuple((guess + r) % family.k for r in range(family.k))
+    return MeasurementBasis(kind="invert", index=guess, factors=factors, rotation=guess, items=items)
 
 
 def parity_basis() -> MeasurementBasis:
@@ -194,13 +196,37 @@ def draw_outcome(cdf: np.ndarray, rng: SeededRng) -> int:
 def posterior(basis: MeasurementBasis, family: EncodingFamily, i: int, j: int) -> np.ndarray:
     """P(d | outcome j, announced i) by Bayes' rule under the uniform prior.
 
-    This is exactly row j of |M E_i|^2, whose sum is 1 by unitarity.
+    This is exactly row j of |M E_i|^2, whose sum is 1 by unitarity.  A basis
+    with `items` (honest and invert) factors it per slot: slot r contributes
+    row c_r of |A_{s_r}^dag A_{(i+r) mod k}|^2, where c is chain row j, and
+    P_i moves slot r to item block (r + i) mod k.  That row is e_{c_r} when
+    s_r = (i+r) mod k and flat when the family is pairwise Hadamard, so there
+    every entry is exactly 0 or 2^-(m t); other pairs form and normalize it.
     """
     if not 0 <= i < family.k:
         raise ValueError(f"encoding index {i} out of range")
-    amps = family.vec_times_encoder(basis.row(j), i)
-    lik = np.abs(amps) ** 2
-    return lik / lik.sum()
+    if basis.items is None:
+        lik = np.abs(family.vec_times_encoder(basis.row(j), i)) ** 2
+        return lik / lik.sum()
+    if basis.dim != family.n:
+        raise ValueError(f"dimension mismatch: basis {basis.dim}, family {family.n}")
+    if not 0 <= j < basis.dim:
+        raise ValueError(f"outcome index {j} out of range")
+    k, m, mats = family.k, family.m, family.basis.matrices
+    c = item_blocks(qmath.rotate_blocks(j, k, m, basis.rotation), k, m)
+    post = np.ones(1)
+    for q in range(k):  # item block q holds slot r = (q - i) mod k, so A_{(i+r) mod k} = A_q
+        r = (q - i) % k
+        if basis.items[r] == q:
+            row = np.zeros(1 << m)
+            row[c[r]] = 1.0
+        elif family.pairwise_hadamard:
+            row = np.full(1 << m, 2.0**-m)
+        else:
+            row = np.abs(mats[basis.items[r]][:, c[r]].conj() @ mats[q]) ** 2
+            row /= row.sum()
+        post = np.multiply.outer(post, row).reshape(-1)
+    return post
 
 
 def outcome_probs(mat: np.ndarray, family: EncodingFamily, i: int) -> np.ndarray:

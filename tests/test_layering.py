@@ -1,5 +1,6 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
-only `qmath` owns a worker pool, and importing obliq loads no scipy."""
+only `qmath` owns a worker pool, importing obliq loads no scipy, and a
+per-slot posterior applies no Kronecker chain."""
 
 import ast
 import os
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import obliq
+from obliq import qmath
+from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, random_family
+from obliq.protocol import honest_basis, invert_basis, parity_basis, posterior
 
 PACKAGE = Path(obliq.__file__).parent
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
@@ -183,3 +187,35 @@ def test_importing_the_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["[]"]
+
+
+def spy_chain_calls(monkeypatch) -> list:
+    """Record every call of `EncodingFamily.vec_times_encoder` and `qmath.kron_apply` by name."""
+    calls = []
+    for owner, name in ((EncodingFamily, "vec_times_encoder"), (qmath, "kron_apply")):
+        real = getattr(owner, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_slot_posteriors_apply_no_kronecker_chain(monkeypatch):
+    families = [build_family(mub_family(3, 4)), build_family(random_family(2, 3, qmath.SeededRng(5)))]
+    calls = spy_chain_calls(monkeypatch)
+    for fam in families:
+        for index in range(fam.k):
+            for basis in (honest_basis(fam, index), invert_basis(fam, index)):
+                for i in range(fam.k):
+                    posterior(basis, fam, i, fam.n - 3)
+    assert calls == []
+
+
+def test_chain_spy_catches_the_parity_path(monkeypatch):
+    fam = explicit_single_bit_family()
+    calls = spy_chain_calls(monkeypatch)
+    posterior(parity_basis(), fam, 1, 0)
+    assert calls == ["vec_times_encoder", "kron_apply"]

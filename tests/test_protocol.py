@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import obliq
 from obliq.encodings import (
     build_family,
     cyclic_family,
@@ -331,7 +336,8 @@ class TestRunSession:
 
 # every (kind, k, m, r) with km <= 8, so each encoder is certified at build
 ROUND_TRIP_CELLS = (
-    [("walsh", 2, m, None) for m in range(1, 5)]
+    [("explicit", 2, 1, None)]
+    + [("walsh", 2, m, None) for m in range(1, 5)]
     + [("cyclic", 3, m, None) for m in (1, 2)]
     + [("mub", k, m, None) for m in range(1, 5) for k in range(2, min(8 // m, (1 << m) + 1) + 1)]
     + [("random", k, m, None) for m in range(1, 5) for k in range(2, 8 // m + 1)]
@@ -345,6 +351,8 @@ ROUND_TRIP_CELLS = (
 
 
 def _round_trip_family(kind, k, m, r, rng):
+    if kind == "explicit":
+        return explicit_single_bit_family()
     if kind == "walsh":
         return walsh_family(m)
     if kind == "cyclic":
@@ -363,39 +371,155 @@ def round_trip_cases(draw):
     return kind, k, m, r, items, draw(st.integers(0, k - 1))
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _frame_digest(tr) -> str:
+    """sha256 of the transcript JSON with its posterior key removed."""
+    doc = tr.to_dict()
+    del doc["posterior"]
+    return _sha(json.dumps(doc, allow_nan=False))
+
+
 class TestTranscriptBytes:
-    """Pinned sha256 of whole transcripts, n = 4096 included (figures of the tensordot kernels)."""
+    """Pinned sha256 of whole transcripts, n = 4096 included, and of each transcript without its posterior.
+
+    The frame digests were pinned before posteriors were built per slot; they
+    show that only posterior digits moved.
+    """
 
     @pytest.mark.parametrize(
-        "k, m, db, index, strategy, seed, digest",
+        "k, m, db, index, strategy, seed, digest, frame",
         [
-            (3, 4, 0x2C9, 2, "honest", 11, "188bed297265589864f8ffcffce89e415e84ac4e4c836f2992a7960860f68603"),
-            (3, 4, 0x2C9, 2, "invert", 11, "e71e42ae93d635bc9a5ea74e55d4ee6296eebde3debdc87ce344fb3d83536b94"),
-            (3, 4, 0x2C9, 2, "invert", 12, "204d1e2aa0e5380e39164a4632cde4f9e47fb1151340040ea03b1ca173ac7ba7"),
-            (4, 3, 0xA5C, 1, "honest", 8, "cd1d4b4ee4c2420607dcb1542176118a23de5f6531b2cebe0326142daed7a07a"),
-            (4, 3, 0xA5C, 1, "invert", 8, "7144fb18d2f96d2dae737320310049642eddefab9d779374a4129912bb8d2613"),
-            (4, 3, 0xA5C, 1, "invert", 9, "5f8d6d8e2be874b99f55bd4a5efbcb6995b3070f6ac7371cfa881e7f1d5ac64d"),
+            (3, 4, 0x2C9, 2, "honest", 11, "b722fc350135b047cc706dbcbbe74f861ece2e7ef0ffd9fc79ff9fc455f5cdba",
+             "08d1ee7be6e9b6dc49c7a17629e751f1114260e12ad58ed2752c07146b5fac70"),
+            (3, 4, 0x2C9, 2, "invert", 11, "71bc013fdd2cb7e8ad60acbe3cd798cee102ac7342193507ac7876d688adfe2a",
+             "cc486b15f8dae09ee20c898af3fc882b03a7e1ce974eaa731497dce49a09d451"),
+            (3, 4, 0x2C9, 2, "invert", 12, "218b458226d8a366c548e01ff52b18325095bce042f9582820af81ef28237906",
+             "e3001bd7d5c97a35d3675babda5f26727141664f122099266f7935c4ba9832da"),
+            (4, 3, 0xA5C, 1, "honest", 8, "ab8267fbd0a36b4f73865ac3e27737ac23efac96b705ac75b15febe79ca1dc21",
+             "6d1a877ca972903bdb4a33a46e5a39cd372d1a5f21457c4fc21932d19ea39845"),
+            (4, 3, 0xA5C, 1, "invert", 8, "590be3f3d30255615351775a13d0e239fc65743284d9d911c35f86711690dc0a",
+             "f38740c2bc38546f1b8b3051552e7314b9ed6f825888ab65b60c8dafea897088"),
+            (4, 3, 0xA5C, 1, "invert", 9, "951c7979340fe6318aede1e84efcc2536d03b572857ba7dc9c274b26df1e6fdc",
+             "13b575b33f7df1447f3e73b87c166ee51ac8454dd8efbc54d9714612d373f575"),
         ],
+        # ids without the digests, so a re-pin keeps the test names
+        ids=["3-4-713-2-honest-11", "3-4-713-2-invert-11", "3-4-713-2-invert-12",
+             "4-3-2652-1-honest-8", "4-3-2652-1-invert-8", "4-3-2652-1-invert-9"],
     )
-    def test_mub_sessions(self, k, m, db, index, strategy, seed, digest):
+    def test_mub_sessions(self, k, m, db, index, strategy, seed, digest, frame):
         # seeds 11 and 8 announce the guessed index, so those invert sessions
         # pin the whole configuration; seeds 12 and 9 announce another
         fam = build_family(mub_family(k, m))
         basis = honest_basis(fam, index) if strategy == "honest" else invert_basis(fam, index)
-        text = run_session(DatabaseState.from_index(db, k, m), fam, basis, SeededRng(seed)).to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        tr = run_session(DatabaseState.from_index(db, k, m), fam, basis, SeededRng(seed))
+        assert (_sha(tr.to_json()), _frame_digest(tr)) == (digest, frame)
 
     def test_parity_session(self, explicit):
-        text = run_session(DatabaseState(2, 1, (1, 0)), explicit, parity_basis(), SeededRng(3)).to_json()
-        digest = "9a63654b4ce322394d59967e08f194dc4efd75ac87902192d1863b75a6cc51ba"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        tr = run_session(DatabaseState(2, 1, (1, 0)), explicit, parity_basis(), SeededRng(3))
+        assert (_sha(tr.to_json()), _frame_digest(tr)) == (
+            "9a63654b4ce322394d59967e08f194dc4efd75ac87902192d1863b75a6cc51ba",
+            "d37b9ae1c26bf860ecd1b0eedd4acc50d0cbb51ba08b5d40f3feb9343bf30739",
+        )
 
     def test_masked_session(self):
         fam = walsh_family(3)
         db, mask = DatabaseState(2, 3, (5, 2)), GfMask(3, 6, 3)
-        text = run_session(db, fam, honest_basis(fam, 1), SeededRng(12), mask=mask).to_json()
-        digest = "b1465824d5173f67c6fd50ef8ccd98d0347a9ed0ebab7d6cdffff3f009ec0923"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        tr = run_session(db, fam, honest_basis(fam, 1), SeededRng(12), mask=mask)
+        assert (_sha(tr.to_json()), _frame_digest(tr)) == (
+            "3840afee5fb3ad6bac7323e9efe68d3c3baf081f24315a38fa4dca2ceb039048",
+            "9affa13735fe6d7f8e8af72cb819d45269145b268ba9c748ffd6bfd161abe34f",
+        )
+
+
+# the kinds whose item bases are certified pairwise unbiased at build
+FLAT_KINDS = ("explicit", "walsh", "cyclic", "mub")
+
+
+class TestSlotPosterior:
+    """Honest and invert posteriors built per slot, against a dense |M_j E_i|^2."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=round_trip_cases(), invert=st.booleans(), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_matches_the_dense_reference(self, case, invert, seed, data):
+        kind, k, m, r, _, index = case
+        fam = _round_trip_family(kind, k, m, r, SeededRng(seed, 1))
+        basis = invert_basis(fam, index) if invert else honest_basis(fam, index)
+        mat, n = basis.matrix, fam.n
+        outcomes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        for i in range(k):
+            enc = fam.encoder(i)
+            for j in outcomes:
+                post = posterior(basis, fam, i, j)
+                np.testing.assert_allclose(post, np.abs(mat[j] @ enc) ** 2, rtol=0, atol=1e-12)
+                if kind in FLAT_KINDS:
+                    (level,) = set(post.tolist()) - {0.0}
+                    assert level in [2.0 ** -(m * t) for t in range(k + 1)]
+                    assert post.sum() == 1.0
+        for j in (-1, n):
+            with pytest.raises(ValueError, match="out of range"):
+                posterior(basis, fam, 0, j)
+
+    def test_out_of_range_outcome_raises_on_both_paths(self, explicit):
+        for basis in (honest_basis(explicit, 0), invert_basis(explicit, 1), parity_basis()):
+            for j in (-1, 4):
+                with pytest.raises(ValueError, match="out of range"):
+                    posterior(basis, explicit, 0, j)
+
+    def test_basis_of_another_dimension_is_refused(self, explicit):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            posterior(honest_basis(walsh_family(2), 0), explicit, 0, 0)
+
+
+class TestExactPosteriors:
+    """No posterior entry at n = 4096 is rounding noise, and no byte depends on BLAS threads."""
+
+    def test_no_entry_in_the_rounding_band(self):
+        for k, m, db in ((3, 4, 0x2C9), (4, 3, 0xA5C)):
+            fam = build_family(mub_family(k, m))
+            state = DatabaseState.from_index(db, k, m)
+            for index in range(k):
+                for seed in range(3):
+                    for basis in (honest_basis(fam, index), invert_basis(fam, index)):
+                        post = np.asarray(run_session(state, fam, basis, SeededRng(seed)).posterior)
+                        assert not ((post > 0) & (post < 1e-12)).any()
+        for fam in (walsh_family(3), build_family(mub_family(2, 6))):
+            state, mask = DatabaseState(2, fam.m, (5, 2)), GfMask(fam.m, 6, 3)
+            for seed in range(3):
+                tr = run_session(state, fam, honest_basis(fam, seed % 2), SeededRng(seed), mask=mask)
+                post = np.asarray(tr.posterior)
+                assert not ((post > 0) & (post < 1e-12)).any()
+
+    def test_n_4096_bytes_are_the_same_under_one_and_two_blas_threads(self):
+        script = "\n".join(
+            [
+                "from obliq.encodings import build_family, mub_family, random_family",
+                "from obliq.protocol import DatabaseState, honest_basis, invert_basis, run_session",
+                "from obliq.qmath import SeededRng",
+                "for fam in (build_family(mub_family(3, 4)), build_family(mub_family(4, 3)),",
+                "            build_family(random_family(3, 4, SeededRng(4)))):",
+                "    db = DatabaseState.from_index(0x2C9, fam.k, fam.m)",
+                "    for basis in (honest_basis(fam, 2), invert_basis(fam, 1)):",
+                "        for seed in (11, 12):",
+                "            print(run_session(db, fam, basis, SeededRng(seed)).to_json())",
+            ]
+        )
+        env = {k: v for k, v in os.environ.items() if k not in ("OBLIQ_THREADS", "OPENBLAS_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(obliq.__file__).parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 12
 
 
 class TestHonestRoundTrip:
