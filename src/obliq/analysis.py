@@ -28,13 +28,27 @@ from .povm import povm_entropy_bound_check, random_povm
 from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs
 from .qmath import BoundViolation, SeededRng
 
-_CHUNK = 2048
+_CHUNK = 2048  # most trials in one audit chunk
+_CHUNK_ENTRIES = 1 << 18  # most complex entries a chunk's sampled matrices or states hold
 RULE_OF_THUMB = (0.4, 0.7)  # reference constants for the leakage power-law fit
 
 
-# perfbench/spans.py carries trace spans into scan cells by patching this name
-# in this module; leakage_scan calls through it so that patch takes effect.
+# perfbench/spans.py carries trace spans into pool lanes by patching this name
+# in this module; every pool call here goes through it so that patch takes effect.
 _parallel_map = qmath.parallel_map
+
+
+def _chunk_trials(entries_per_trial: int) -> int:
+    """Trials per audit chunk: at most _CHUNK and about _CHUNK_ENTRIES entries, never below 1."""
+    return max(1, min(_CHUNK, _CHUNK_ENTRIES // entries_per_trial))
+
+
+def _chunk_map(fn, trials: int, per: int, stream: SeededRng) -> list:
+    """[fn(count, stream.derive(c)) for chunk c of `per` trials] on the pool; no bit depends on the lanes."""
+    if trials < 1:
+        raise ValueError("an audit needs trials >= 1")
+    chunks = [(c, min(per, trials - lo)) for c, lo in enumerate(range(0, trials, per))]
+    return _parallel_map(lambda chunk: fn(chunk[1], stream.derive(chunk[0])), chunks)
 
 
 @dataclass
@@ -70,14 +84,14 @@ def _uncertainty_slacks(dim: int, trials: int, stream: SeededRng) -> np.ndarray:
     Sampled as w = Au and V = B A^dag, which are independent and Haar, so
     Bu = V w and Linf(A B^dag) = Linf(V): one unitary and one state per trial.
     """
-    slacks = np.empty(trials)
-    for lo in range(0, trials, _CHUNK):
-        v = qmath.haar_unitaries(dim, min(_CHUNK, trials - lo), stream)
-        w = qmath.random_states(dim, len(v), stream)
+    def chunk(count, sub):
+        v = qmath.haar_unitaries(dim, count, sub)
+        w = qmath.random_states(dim, count, sub)
         hb = qmath.entropy_rows(np.abs(v @ w[:, :, None])[:, :, 0] ** 2)
         ha = qmath.entropy_rows(np.abs(w) ** 2)
-        slacks[lo : lo + len(v)] = ha + hb + 2.0 * np.log2(np.abs(v).max(axis=(1, 2)))
-    return slacks
+        return ha + hb + 2.0 * np.log2(np.abs(v).max(axis=(1, 2)))
+
+    return np.concatenate(_chunk_map(chunk, trials, _chunk_trials(dim * dim), stream))
 
 
 def verify_theorem1(dim: int, trials: int, rng: SeededRng, tol: float = 1e-9) -> BoundReport:
@@ -127,22 +141,21 @@ def explore_condition_2prime(encoders, trials: int, rng: SeededRng) -> BoundRepo
         raise ValueError("need at least two encoders")
     n = mats[0].shape[0]
     log_n = float(np.log2(n))
-    min_sum = np.inf
-    violations = 0
     # an identity encoder is scored from u itself: the bits of u @ I, without the product
     transposed = [None if np.array_equal(c, np.eye(n)) else c.T for c in mats]
-    stream = rng.derive(0)
-    for lo in range(0, trials, _CHUNK):
-        u = qmath.random_states(n, min(_CHUNK, trials - lo), stream)
+
+    def chunk(count, sub):
+        u = qmath.random_states(n, count, sub)
         total = sum(qmath.entropy_rows(np.abs(u if t is None else u @ t) ** 2) for t in transposed)
-        min_sum = min(min_sum, float(total.min()))
-        if k == 2:
-            violations += int((total < (k - 1) * log_n - 1e-9).sum())
+        return float(total.min()), int((total < (k - 1) * log_n - 1e-9).sum())
+
+    lows, bads = zip(*_chunk_map(chunk, trials, _chunk_trials(n), rng.derive(0)))
+    min_sum = min(lows)
     return BoundReport(
         suite="hk",
         trials=trials,
         min_slack=float(min_sum - (k - 1) * log_n),
-        violations=violations if k == 2 else 0,
+        violations=sum(bads) if k == 2 else 0,
         parameters={
             "k": k,
             "n": n,
@@ -415,13 +428,11 @@ def default_t_grid(ell: int) -> np.ndarray:
 
 
 def _haar_overlaps(ell: int, trials: int, stream: SeededRng) -> np.ndarray:
-    """Linf(V) for `trials` Haar unitaries V of size ell, in chunks of at most 2^22 entries."""
-    overlaps = np.empty(trials)
-    chunk = max(1, min(trials, (1 << 22) // (ell * ell)))
-    for lo in range(0, trials, chunk):
-        v = qmath.haar_unitaries(ell, min(chunk, trials - lo), stream)
-        overlaps[lo : lo + len(v)] = np.abs(v).max(axis=(1, 2))
-    return overlaps
+    """Linf(V) for `trials` Haar unitaries V of size ell."""
+    def chunk(count, sub):
+        return np.abs(qmath.haar_unitaries(ell, count, sub)).max(axis=(1, 2))
+
+    return np.concatenate(_chunk_map(chunk, trials, _chunk_trials(ell * ell), stream))
 
 
 def concentration_experiment(
@@ -474,39 +485,34 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
     n, k = family.n, family.k
     cap = k * family.m / 2.0
     log_n = float(np.log2(n))
-    min_slack = np.inf
-    worst_expected = -np.inf
-    violations = 0
-    done = 0
-    stream = rng.derive(0)
-    chunk = max(1, min(trials, (1 << 21) // (n * n)))
-    while done < trials:
-        count = min(chunk, trials - done)
-        mats = qmath.haar_unitaries(n, count, stream)
+
+    def chunk(count, sub):
+        mats = qmath.haar_unitaries(n, count, sub)
         h_sum = sum(qmath.entropy_rows(outcome_probs(mats, family, i)) for i in range(k))
         gains = log_n - h_sum / k  # per outcome
         slack = cap - gains
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int((slack < -1e-9).sum())
-        worst_expected = max(worst_expected, float(gains.mean(axis=1).max()))
-        done += count
+        return float(slack.min()), int((slack < -1e-9).sum()), float(gains.mean(axis=1).max())
+
+    lows, bads, worsts = zip(*_chunk_map(chunk, trials, _chunk_trials(n * n), rng.derive(0)))
     return BoundReport(
         suite="projective-gain",
         trials=trials,
-        min_slack=float(min_slack),
-        violations=violations,
-        parameters={"k": k, "m": family.m, "cap_bits": cap, "worst_expected_gain": worst_expected},
+        min_slack=min(lows),
+        violations=sum(bads),
+        parameters={"k": k, "m": family.m, "cap_bits": cap, "worst_expected_gain": max(worsts)},
     )
 
 
 def povm_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -> BoundReport:
     """Random POVMs (random rank, N <= 2n) against the k=2 entropy-sum bound."""
+    if trials < 1:
+        raise ValueError("an audit needs trials >= 1")
     n = family.n
     min_slack = np.inf
     violations = 0
     worst_expected = -np.inf
     worst_outcome = -np.inf
-    for t in range(trials):
+    for t in range(trials):  # serially: the trials are GIL-bound and ran slower on the pool
         stream = rng.derive(t)
         n_ops = int(stream.gen.integers(2, 2 * n + 1))
         pv = random_povm(n, n_ops, stream)

@@ -178,25 +178,18 @@ def haar_unitaries(dim: int, count: int, rng: SeededRng) -> np.ndarray:
     """Stack of `count` Haar-distributed dim x dim unitaries.
 
     QR of a complex standard-Gaussian matrix, with the R diagonal phase
-    pulled into Q so the distribution is exactly Haar.  The Gaussians are
-    drawn serially, in one stream order; the QR runs on sub-batches across
-    the worker pool, one LAPACK call per matrix, so no bit depends on the
-    split.
+    pulled into Q so the distribution is exactly Haar (Mezzadri,
+    math-ph/0609050).  One draw and one batched QR on the calling thread;
+    audits put whole chunks, each with its own stream, on the worker pool.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     g = rng.gen
     z = g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))
     z /= np.sqrt(2.0)
-    parallel_map(_haar_fix, np.array_split(z, max(1, min(worker_count(), count))))
-    return z
-
-
-def _haar_fix(z: np.ndarray) -> None:
-    """Overwrite each Gaussian matrix of `z` with its phase-fixed Q factor."""
     q, r = np.linalg.qr(z)
     d = np.einsum("...ii->...i", r)
-    np.multiply(q, (d / np.abs(d))[:, None, :], out=z)
+    return np.multiply(q, (d / np.abs(d))[:, None, :], out=q)
 
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Bound audits, the leakage optimizer, scans, and trend tables."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import ks_2samp
 
-from obliq import analysis
+from obliq import analysis, qmath
 from obliq.analysis import (
     LeakageResult,
     OptimizerConfig,
     _cayley_step,
+    _chunk_map,
+    _chunk_trials,
     _descend,
     _haar_overlaps,
     _objective,
@@ -145,7 +148,7 @@ class TestOneDrawSampling:
         for seed in range(8):
             # one state per run, so min_sum_bits is that state's entropy sum
             rep = explore_condition_2prime(encs, 1, SeededRng(seed))
-            u = random_states(fam.n, 1, SeededRng(seed).derive(0))
+            u = random_states(fam.n, 1, SeededRng(seed).derive(0).derive(0))  # chunk 0's stream
             ref = sum(entropy_rows(np.abs(np.einsum("ij,bj->bi", c, u)) ** 2) for c in encs)
             assert abs(rep.parameters["min_sum_bits"] - float(ref[0])) <= 1e-12
 
@@ -426,8 +429,8 @@ class TestMeasurementAudits:
     def test_projective_audit_seeded_values(self):
         # pinned figures: the audit's Haar draws and entropy sums must not move
         rep = projective_gain_audit(build_family(mub_family(3, 2)), 300, SeededRng(4))
-        assert rep.min_slack == pytest.approx(2.17627055563126, abs=1e-12)
-        assert rep.parameters["worst_expected_gain"] == pytest.approx(0.6158824085120906, abs=1e-12)
+        assert rep.min_slack == pytest.approx(2.121979409224868, abs=1e-12)
+        assert rep.parameters["worst_expected_gain"] == pytest.approx(0.6228848869170138, abs=1e-12)
 
 
 class TestWorkerControl:
@@ -462,6 +465,97 @@ class TestWorkerControl:
         for r in results[1:]:
             assert (r.best_gain, r.best_restart) == (results[0].best_gain, results[0].best_restart)
             np.testing.assert_array_equal(r.best_params, results[0].best_params)
+
+
+def _hk_encoders(k, m):
+    fam = build_family(mub_family(k, m))
+    return [kron_chain(fam.factors(i)) for i in range(k)]
+
+
+# each chunked audit at a size of at least two chunks, as (label, run(rng), chunks)
+CHUNKED_AUDITS = [
+    ("entropic-8", lambda rng: verify_theorem1(8, 5000, rng), 3),
+    ("concentration-256", lambda rng: concentration_experiment(256, 32, None, rng), 8),
+    ("projective-mub32", lambda rng: projective_gain_audit(build_family(mub_family(3, 2)), 200, rng), 4),
+    ("hk-3-2", lambda rng: explore_condition_2prime(_hk_encoders(3, 2), 5000, rng), 3),
+]
+
+
+class TestAuditChunks:
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            lambda t: verify_theorem1(4, t, SeededRng(1)),
+            lambda t: concentration_experiment(16, t, None, SeededRng(1)),
+            lambda t: projective_gain_audit(explicit_single_bit_family(), t, SeededRng(1)),
+            lambda t: explore_condition_2prime(_hk_encoders(2, 1), t, SeededRng(1)),
+            lambda t: povm_gain_audit(explicit_single_bit_family(), t, SeededRng(1)),
+        ],
+        ids=["entropic", "concentration", "projective", "hk", "povm"],
+    )
+    def test_no_trials_is_refused(self, audit, trials):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            audit(trials)
+
+    def test_chunk_size_rule(self):
+        assert [_chunk_trials(e) for e in (4, 64, 256, 4096, 65536, 1 << 20)] == [2048, 2048, 1024, 64, 4, 1]
+
+    def test_each_chunk_draws_from_its_own_child_stream(self):
+        stream = SeededRng(9, 5)
+        got = _chunk_map(lambda count, sub: (count, sub.seed, sub.stream), 5, 2, stream)
+        assert got == [(c, 9, stream.derive(i).stream) for i, c in enumerate((2, 2, 1))]
+
+    def test_no_chunk_repeats_another_chunks_unitaries(self, monkeypatch):
+        drawn = []
+        real = qmath.haar_unitaries
+
+        def spy(dim, count, rng):
+            drawn.append((rng.stream, real(dim, count, rng)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(qmath, "haar_unitaries", spy)
+        monkeypatch.setenv("OBLIQ_THREADS", "1")
+        concentration_experiment(256, 32, None, SeededRng(3))
+        streams = [s for s, _ in drawn]
+        assert len(streams) == 8 and len(set(streams)) == 8
+        firsts = {mats[0].tobytes() for _, mats in drawn}
+        assert len(firsts) == 8
+
+    @pytest.mark.parametrize("label, run, chunks", CHUNKED_AUDITS, ids=[a[0] for a in CHUNKED_AUDITS])
+    def test_reports_do_not_depend_on_the_thread_count(self, label, run, chunks, monkeypatch):
+        sizes = []
+        real = analysis._parallel_map
+
+        def spy(fn, items):
+            items = list(items)
+            sizes.append(len(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(analysis, "_parallel_map", spy)
+        reports = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("OBLIQ_THREADS", threads)
+            reports.append(run(SeededRng(12)).to_json())
+        assert sizes == [chunks, chunks]
+        assert reports[0] == reports[1]
+
+    def test_lanes_racing_to_build_the_encoders_change_nothing(self, monkeypatch):
+        # eight chunks on a fresh family: the lanes race to build and cache each encoder
+        monkeypatch.setenv("OBLIQ_THREADS", "1")
+        ref = projective_gain_audit(build_family(mub_family(2, 2)), 8192, SeededRng(6)).to_json()
+        monkeypatch.setenv("OBLIQ_THREADS", "8")  # more lanes than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = projective_gain_audit(build_family(mub_family(2, 2)), 8192, SeededRng(6)).to_json()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == ref
+
+    @pytest.mark.parametrize("label, run, chunks", CHUNKED_AUDITS, ids=[a[0] for a in CHUNKED_AUDITS])
+    def test_equal_rngs_give_equal_reports(self, label, run, chunks):
+        assert run(SeededRng(13)).to_json() == run(SeededRng(13)).to_json()
 
 
 class TestLeakageTrend:

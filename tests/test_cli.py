@@ -184,13 +184,13 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "hk", "--k", "2", "--m", "3", "--seed", "6"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2b93b506056f6274547e3bcc43b02cb53ca8d0dfa5e06a119d796582708bb4ac"
+            "e2a46149b0aa5fad5bc3503150ce1df4583f32e8ad313e90e7f0ce892965356e"
         )
 
     def test_all_suites_output_pinned_under_one_and_two_threads(self):
         env = {k: v for k, v in os.environ.items() if k not in ("OBLIQ_THREADS", "OPENBLAS_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(obliq.__file__).parent.parent)
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):  # 3 lanes on 2 cores: chunks finish out of order
             proc = subprocess.run(
                 [sys.executable, "-m", "obliq.cli", "verify", "--suite", "all", "--seed", "3"],
                 env={**env, "OBLIQ_THREADS": threads},
@@ -199,7 +199,7 @@ class TestVerify:
             )
             assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
             assert hashlib.sha256(proc.stdout).hexdigest() == (
-                "100c45601a89bdb602957a3ea5052eb07f35e9d1d8785ae3bbb85af5a232ba73"
+                "3eb93ae6bf515cd35a07ac0fc1cd03aa1ff12edf22c0a6d4980dde9aea99233c"
             )
 
     def test_unknown_suite(self, capsys):

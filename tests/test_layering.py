@@ -1,6 +1,7 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
-only `qmath` owns a worker pool, importing obliq loads no scipy, and a
-per-slot posterior applies no Kronecker chain."""
+only `qmath` owns a worker pool, each chunked audit enters it once and Haar
+sampling never does, importing obliq loads no scipy, and a per-slot posterior
+applies no Kronecker chain."""
 
 import ast
 import os
@@ -8,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import obliq
-from obliq import qmath
+from obliq import analysis, qmath
 from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, random_family
 from obliq.protocol import honest_basis, invert_basis, parity_basis, posterior
 
@@ -126,6 +129,55 @@ def test_pool_detector_flags_each_form():
         ]
     )
     assert pool_names(source) == [(1, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "ThreadPoolExecutor")]
+
+
+def _mub_encoders(k, m):
+    fam = build_family(mub_family(k, m))
+    return [qmath.kron_chain(fam.factors(i)) for i in range(k)]
+
+
+# the four chunked audits, each at a size of at least two chunks
+AUDITS = {
+    "entropic": lambda rng: analysis.verify_theorem1(8, 5000, rng),
+    "concentration": lambda rng: analysis.concentration_experiment(256, 32, None, rng),
+    "projective": lambda rng: analysis.projective_gain_audit(build_family(mub_family(3, 2)), 200, rng),
+    "hk": lambda rng: analysis.explore_condition_2prime(_mub_encoders(3, 2), 5000, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_each_chunked_audit_enters_the_pool_once(name, monkeypatch):
+    calls = []
+    real = analysis._parallel_map
+
+    def spy(fn, items):
+        calls.append(name)
+        return real(fn, items)
+
+    monkeypatch.setattr(analysis, "_parallel_map", spy)
+    monkeypatch.setenv("OBLIQ_THREADS", "2")
+    AUDITS[name](qmath.SeededRng(4))
+    assert calls == [name]
+
+
+def names_in_function(source: str, function: str) -> set:
+    """Every bare name and attribute name used inside the top-level `function` of the source."""
+    (node,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_haar_sampling_names_no_pool():
+    # a pool call inside the sampler would nest under the audit chunks' lanes
+    names = names_in_function((PACKAGE / "qmath.py").read_text(), "haar_unitaries")
+    assert "qr" in names
+    assert not {n for n in names if "parallel_map" in n or n in POOL_NAMES}
+
+
+def test_pool_name_detector_sees_nested_calls():
+    source = "def haar_unitaries(d):\n    return qmath.parallel_map(fix, [d])\n"
+    assert "parallel_map" in names_in_function(source, "haar_unitaries")
 
 
 def eager_scipy_imports(source: str) -> list:
