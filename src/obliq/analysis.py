@@ -4,8 +4,8 @@ Suites here audit the proven inequalities (entropic uncertainty, the
 pairwise-unbiased leakage cap, the POVM no-advantage bound, Haar overlap
 concentration) and run the adversarial leakage search for the projective
 measurement of largest expected information gain: the honest and inverse
-bases are scored as they stand, and Haar starts run Riemannian steepest
-descent on U(n) with the exact gradient.
+bases are scored exactly per item slot, and Haar starts run Riemannian
+steepest descent on U(n) with the exact gradient.
 
 A note on the uncertainty constant: for measurements given by the rows of
 unitaries A and B, the proven lower bound on H2(Au) + H2(Bu) is
@@ -25,7 +25,7 @@ import numpy as np
 from . import qmath
 from .encodings import EncodingFamily, build_family, check_desk_cell, mub_family, random_family, walsh_matrix
 from .povm import povm_entropy_bound_check, random_povm
-from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs
+from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs, slot_entropy
 from .qmath import BoundViolation, SeededRng
 
 _CHUNK = 2048  # most trials in one audit chunk
@@ -103,10 +103,13 @@ def verify_theorem1(dim: int, trials: int, rng: SeededRng, tol: float = 1e-9) ->
     under multiplication by a fixed unitary (Mezzadri, math-ph/0609050), so
     for independent A, B, u the pair (B A^dag, Au) is again two independent
     Haar draws; each trial samples that pair instead of the triple.
+    min_slack covers both cases; parameters["haar_min_slack"] is the Haar
+    trials' own minimum, which the flat case otherwise hides.
     """
     if dim < 2:
         raise ValueError("the audit needs dim >= 2")
     slack = _uncertainty_slacks(dim, trials, rng.derive(0))
+    haar_min = float(slack.min())
 
     # flat case: overlap 1/sqrt(dim) exactly when dim is a power of two
     hadamard = {}
@@ -124,7 +127,7 @@ def verify_theorem1(dim: int, trials: int, rng: SeededRng, tol: float = 1e-9) ->
         trials=trials,
         min_slack=float(slack.min()),
         violations=int((slack < -tol).sum()),
-        parameters={"dim": dim, "hadamard_case": hadamard},
+        parameters={"dim": dim, "haar_min_slack": haar_min, "hadamard_case": hadamard},
     )
 
 
@@ -233,9 +236,10 @@ _INV_LN2 = 1.0 / np.log(2.0)
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
 _MIN_STEP = 1e-12
 _GAIN_TOL = 1e-7  # a descent stops after a step that raises the expected gain by less (bits)
-# From this dimension a restart's matrix products outweigh the interpreter
-# lock, and restarts on the pool finish sooner; below it they run serially
+# From this dimension a Haar restart's matrix products outweigh the interpreter
+# lock, and Haar restarts on the pool finish sooner; below it they run serially
 # (on a 2-core VM the pool took 1.7x the serial time at n = 16, 0.6x at n = 64).
+# Structured starts never use the pool: each is a few 2^m x 2^m products.
 _POOL_RESTART_DIM = 64
 
 
@@ -306,12 +310,13 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     """Maximize the expected gain, log2 n - f(U), over the restarts' measurements.
 
     The first 2k restarts score the honest, then the inverse-encoder, bases
-    with one evaluation each; each basis is built only when its restart runs.
-    These are strict local optima of f, so a descent from them cannot move,
-    and the result never falls below the honest strategy.  Later restarts
-    run `_descend` from Haar unitaries.  From n = _POOL_RESTART_DIM the
-    restarts run on the worker pool, below it serially; the winner is the
-    lowest f, ties to the earliest restart, so the thread count never
+    exactly per item slot (`slot_entropy`), serially and with no dense
+    evaluation; each basis is built only when its restart runs.  These are
+    strict local optima of f, so a descent from them cannot move, and the
+    result never falls below the honest strategy.  Later restarts run
+    `_descend` from Haar unitaries; only they build the dense encoder block,
+    and from n = _POOL_RESTART_DIM they run on the worker pool.  The winner
+    is the lowest f, ties to the earliest restart, so the thread count never
     changes the result.  best_gain is log2 n minus the winner's f as the
     search evaluated it; best_params are the winner's Hermitian parameters
     (see params_from_unitary).
@@ -319,26 +324,32 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     n, k = family.n, family.k
     if config.restarts < 1:
         raise ValueError("the leakage search needs restarts >= 1")
-    encoders = _stacked_encoders(family)
-    best = [np.inf, 0, None]  # f, restart, U of the lowest f, ties to the earliest restart
-    lock = threading.Lock()
+    best = [np.inf, 0, None]  # f, restart, basis or Haar U of the lowest f, ties to the earliest restart
+    for idx in range(min(config.restarts, 2 * k)):
+        basis = honest_basis(family, idx) if idx < k else invert_basis(family, idx - k)
+        f = slot_entropy(family, basis.items)
+        if f < best[0]:
+            best[:] = f, idx, basis
 
-    def run(idx):
-        if idx < 2 * k:
-            u = (honest_basis(family, idx) if idx < k else invert_basis(family, idx - k)).matrix
-            f = _objective(u, encoders)[0]
-        else:
+    if config.restarts > 2 * k:
+        encoders = _stacked_encoders(family)
+        lock = threading.Lock()
+
+        def run(idx):
             u, f = _descend(qmath.haar_unitary(n, rng.derive(idx)), encoders, config.iterations)
-        with lock:
-            if (f, idx) < (best[0], best[1]):
-                best[:] = f, idx, u
+            with lock:
+                if (f, idx) < (best[0], best[1]):
+                    best[:] = f, idx, u
 
-    if n >= _POOL_RESTART_DIM:
-        _parallel_map(run, range(config.restarts))
-    else:
-        for idx in range(config.restarts):
-            run(idx)
+        haar = range(2 * k, config.restarts)
+        if n >= _POOL_RESTART_DIM:
+            _parallel_map(run, haar)
+        else:
+            for idx in haar:
+                run(idx)
     best_f, best_idx, best_u = best
+    if best_idx < 2 * k:
+        best_u = best_u.matrix
     return LeakageResult(
         k=k,
         m=family.m,

@@ -283,29 +283,39 @@ def decode_item(outcome: int, announced: int, chosen: int, k: int, m: int) -> in
     return item_blocks(outcome, k, m)[block]
 
 
+def slot_entropy(family: EncodingFamily, items) -> float:
+    """Mean row entropy (bits) of |M E_i|^2 over every row and every i, per slot.
+
+    M is a basis whose factor r is A_{items[r]}^dag (honest and invert bases).
+    Each row of |M E_i|^2 is a product of slot rows, so the mean entropy is
+    f = (1/k) sum_i sum_r mean_rows H(|A_{items[r]}^dag A_{(i+r) mod k}|^2).
+    A matched slot, items[r] = (i+r) mod k, is the identity and adds exactly
+    0; every other slot is computed, whatever the family claims.
+    """
+    k = family.k
+    mats = family.basis.matrices
+    total = 0.0
+    for i in range(k):
+        for r in range(k):
+            q = (i + r) % k
+            if items[r] == q:
+                continue
+            cross = np.abs(mats[items[r]].conj().T @ mats[q]) ** 2
+            total += float(qmath.entropy_rows(cross).mean())
+    return total / k
+
+
 def honest_leakage(family: EncodingFamily, j: int) -> float:
     """Expected information (bits) an honest chooser of item j gains about the rest.
 
     Under honest measurement the posterior over the permuted configuration
     factorizes per item block, so the computation reduces to mean row
-    entropies of the small cross products A_j^dag A_i; this stays exact for
-    any k*m, with no joint-space matrices.
+    entropies of the small cross products A_j^dag A_i (`slot_entropy`);
+    this stays exact for any k*m, with no joint-space matrices.
     """
     if not 0 <= j < family.k:
         raise ValueError(f"choice {j} out of range")
-    k, m = family.k, family.m
-    mats = family.basis.matrices
-    adj = mats[j].conj().T
-    mean_marginal = 0.0
-    for i in range(k):
-        target = (j - i) % k
-        for r in range(k):
-            if r == target:
-                continue
-            cross = np.abs(adj @ mats[(i + r) % k]) ** 2
-            mean_marginal += float(qmath.entropy_rows(cross).mean())
-    mean_marginal /= k
-    return (k - 1) * m - mean_marginal
+    return (family.k - 1) * family.m - slot_entropy(family, (j,) * family.k)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from obliq.analysis import (
     scan_csv,
     verify_theorem1,
 )
-from obliq.encodings import build_family, explicit_single_bit_family, mub_family, walsh_matrix
+from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_matrix
 from obliq.protocol import honest_basis, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
@@ -140,6 +140,15 @@ class TestOneDrawSampling:
         ours = _uncertainty_slacks(4, 2000, SeededRng(43).derive(0))
         flat = rep.parameters["hadamard_case"]["min_slack"]
         assert rep.min_slack == min(float(ours.min()), flat)
+        assert rep.parameters["haar_min_slack"] == float(ours.min())
+
+    def test_haar_minimum_is_reported_apart_from_the_flat_case(self):
+        # at these counts the flat case sets min_slack; the Haar trials' own
+        # minimum is still in the report, and a dim without a flat case has it too
+        rep = verify_theorem1(8, 5000, SeededRng(3))
+        assert rep.min_slack == rep.parameters["hadamard_case"]["min_slack"] < rep.parameters["haar_min_slack"]
+        odd = verify_theorem1(3, 500, SeededRng(3))
+        assert (odd.parameters["hadamard_case"], odd.parameters["haar_min_slack"]) == ({}, odd.min_slack)
 
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (2, 2)])
     def test_hk_entropy_sums_match_einsum(self, k, m):
@@ -219,17 +228,42 @@ class TestMaxLeakage:
             assert res.best_restart >= 2 * k  # a Haar start won
         assert gain_of_params(res.best_params, fam) == pytest.approx(res.best_gain, abs=1e-9)
 
+    @staticmethod
+    def _budget_log(monkeypatch, family, restarts, seed):
+        """Names of the dense-path calls one max_leakage(family, restarts, iterations=2) makes."""
+        log = []
+        dense = ("_objective", "_stacked_encoders", "_parallel_map", "_cayley_step")
+        for name in dense + ("honest_basis", "invert_basis"):
+            _record_calls(monkeypatch, name, log)
+        encoder = EncodingFamily.encoder
+
+        def counted_encoder(self, i):
+            log.append("encoder")
+            return encoder(self, i)
+
+        monkeypatch.setattr(EncodingFamily, "encoder", counted_encoder)
+        max_leakage(family, OptimizerConfig(restarts=restarts, iterations=2), SeededRng(seed))
+        return log
+
     @pytest.mark.parametrize("seed", range(200, 205))
     def test_evaluation_budget(self, seed, monkeypatch):
-        # two honest starts: each is scored by one evaluation and never
-        # descended, and the winner is not re-scored
-        log = []
-        for name in ("_objective", "_cayley_step", "honest_basis", "invert_basis"):
-            _record_calls(monkeypatch, name, log)
-        max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(restarts=2, iterations=2), SeededRng(seed))
-        assert log.count("_objective") == 2
-        assert log.count("_cayley_step") == 0
+        # two honest starts at n = 256: each is scored per item slot, so the
+        # search forms no dense encoder, runs no dense objective, enters no
+        # pool and never descends
+        log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 2, seed)
+        for name in ("_objective", "_stacked_encoders", "encoder", "_parallel_map", "_cayley_step"):
+            assert log.count(name) == 0, name
         assert log.count("honest_basis") + log.count("invert_basis") == 2
+
+    def test_one_haar_restart_builds_the_dense_block_once(self, monkeypatch):
+        # restarts = 2k + 1: the one Haar start forms E_0..E_3 once and goes
+        # on the pool (n = 256), while the eight structured starts stay dense-free
+        log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 9, 200)
+        assert log.count("_stacked_encoders") == 1
+        assert log.count("encoder") == 4
+        assert log.count("_parallel_map") == 1
+        assert log.count("honest_basis") + log.count("invert_basis") == 8
+        assert log.count("_objective") >= 1
 
     @pytest.mark.parametrize("restarts", [1, 4, 6, 9])
     def test_structured_starts_built_only_when_run(self, restarts, monkeypatch):

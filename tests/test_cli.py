@@ -199,7 +199,7 @@ class TestVerify:
             )
             assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
             assert hashlib.sha256(proc.stdout).hexdigest() == (
-                "3eb93ae6bf515cd35a07ac0fc1cd03aa1ff12edf22c0a6d4980dde9aea99233c"
+                "9302672497f32596d1b1112d73f66eec1291af0cfc7e91d56716691af70410b2"
             )
 
     def test_unknown_suite(self, capsys):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import obliq
+from obliq.analysis import _objective, _stacked_encoders
 from obliq.encodings import (
     build_family,
     cyclic_family,
@@ -39,6 +40,7 @@ from obliq.protocol import (
     posterior,
     run_session,
     sample_outcome,
+    slot_entropy,
     vendor_encode,
 )
 from obliq.protocol import _decode
@@ -637,3 +639,53 @@ class TestHonestLeakage:
                     total += entropy_rows(marg).mean()
                 dense_leak = (k - 1) * m - total / k
                 assert honest_leakage(fam, j) == pytest.approx(dense_leak, abs=1e-9)
+
+    @pytest.mark.parametrize("k, m", [(k, m) for m in (1, 2, 3) for k in range(2, (1 << m) + 2)])
+    def test_same_bits_as_the_slot_loop(self, k, m):
+        # the per-slot form is a rewrite, not a new formula: equal bits (==)
+        # to the loop it replaced, on every mub cell with m <= 3
+        fam = build_family(mub_family(k, m))
+        for j in range(k):
+            assert honest_leakage(fam, j) == _honest_leakage_loop(fam, j)
+
+
+def _honest_leakage_loop(family, j):
+    """The honest-leakage loop that slot_entropy replaced, kept as a bitwise reference."""
+    k, m = family.k, family.m
+    mats = family.basis.matrices
+    adj = mats[j].conj().T
+    mean_marginal = 0.0
+    for i in range(k):
+        target = (j - i) % k
+        for r in range(k):
+            if r == target:
+                continue
+            cross = np.abs(adj @ mats[(i + r) % k]) ** 2
+            mean_marginal += float(entropy_rows(cross).mean())
+    mean_marginal /= k
+    return (k - 1) * m - mean_marginal
+
+
+class TestSlotEntropy:
+    @pytest.mark.parametrize("cell", ROUND_TRIP_CELLS, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_the_dense_objective(self, cell):
+        # every honest and invert basis: the per-slot sum equals the dense
+        # mean row entropy of |M E_i|^2 over all rows and all i
+        kind, k, m, r = cell
+        fam = _round_trip_family(kind, k, m, r, SeededRng(61, k * m))
+        enc = _stacked_encoders(fam)
+        for j in range(k):
+            for basis in (honest_basis(fam, j), invert_basis(fam, j)):
+                dense = _objective(basis.matrix, enc)[0]
+                assert slot_entropy(fam, basis.items) == pytest.approx(dense, abs=1e-12)
+
+    def test_cells_include_the_unstructured_families(self):
+        # random(3, 2) and tensorized(2, 4, 4) have non-flat cross products
+        assert {("random", 3, 2, None), ("tensorized", 2, 4, 4)} <= set(ROUND_TRIP_CELLS)
+
+    def test_matched_slots_add_nothing(self):
+        # invert guess g matches every slot at i = g and none at i != g, where
+        # a mub family's slots are flat (m bits each): f = (k - 1) m
+        fam = build_family(mub_family(3, 2))
+        for g in range(3):
+            assert slot_entropy(fam, invert_basis(fam, g).items) == pytest.approx(4.0, abs=1e-12)
