@@ -48,7 +48,7 @@ from .povm import (
     Povm,
     povm_entropy_bound_check,
     povm_gain_account,
-    povm_posterior,
+    povm_posteriors,
     random_povm,
     validate_povm,
 )

@@ -7,8 +7,8 @@ chain starting at A_i, and the encoder E_i = C_i P_i first rotates the item
 blocks of the configuration index and then applies C_i.
 
 Every constructor certifies its item bases numerically before returning the
-family, so an uncertified family cannot exist; a dense encoder is certified
-when it is first built.
+family, so an uncertified family cannot exist; a dense encoder, a Kronecker
+product of certified unitaries, is built on each call and not re-certified.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ CYCLIC_QUBIT = np.exp(1j * np.pi / 12) * ALPHA_2
 VALID_KINDS = ("walsh", "mub", "cyclic", "random", "tensorized", "explicit")
 
 # Desk-scale limits.  Every command stays within k*m <= MAX_KM, so the joint
-# space never exceeds MAX_DENSE_DIM; a dense encoder up to CERTIFY_DIM is
-# certified and cached when first built.
+# space never exceeds MAX_DENSE_DIM.
 MAX_KM = 12
 MAX_DENSE_DIM = 1 << MAX_KM
-CERTIFY_DIM = 256
 
 
 def check_desk_cell(k: int, m: int) -> None:
@@ -132,7 +130,6 @@ class EncodingFamily:
     """
 
     basis: ItemBasisFamily
-    _dense_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -168,18 +165,9 @@ class EncodingFamily:
             )
 
     def encoder(self, i: int) -> np.ndarray:
-        """Dense E_i = C_i P_i; up to CERTIFY_DIM it is certified, frozen and cached when first built."""
+        """Dense E_i = C_i P_i: the chain of C_i with its columns gathered by P_i."""
         self._check_dense()
-        if i in self._dense_cache:
-            return self._dense_cache[i]
-        c = qmath.kron_chain(self.factors(i))
-        e = c[:, qmath.rotation_index_map(self.k, self.m, i)]
-        if self.n <= CERTIFY_DIM:
-            if not qmath.is_unitary(e, DEFAULT_TOL):
-                raise CertificationError(f"encoder E_{i} failed unitarity")
-            e.setflags(write=False)
-            self._dense_cache[i] = e
-        return e
+        return qmath.kron_chain(self.factors(i))[:, qmath.rotation_index_map(self.k, self.m, i)]
 
     def encode_column(self, i: int, d: int) -> np.ndarray:
         """Column d of E_i as a state vector, built from factor columns."""

@@ -124,6 +124,8 @@ def xor_guess_attack(
     """
     if family.k != 2 or db.k != 2:
         raise ValueError("the share-splitting attack model is for k=2")
+    if trials < 1:
+        raise ValueError("a Monte Carlo needs trials >= 1")
     m = family.m
     bases = [invert_basis(family, g) for g in range(2)]
     # made once per call: a matched round's outcome law depends only on (i, pair), its decode on (i, outcome)
@@ -194,6 +196,8 @@ def bit_targeting_audit(
     """
     if not 0 <= target_bit < m:
         raise ValueError("target bit out of range")
+    if trials < 1:
+        raise ValueError("an audit needs trials >= 1")
     gen = rng.gen
     limit = 1 << m
     values = np.arange(limit)

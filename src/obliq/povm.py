@@ -21,21 +21,19 @@ _PSD_TOL = -1e-9
 
 @dataclass(frozen=True)
 class Povm:
-    """Operators R_1..R_N with sum_j R_j^dag R_j = I; N may exceed dim."""
+    """Operators R_1..R_N, one frozen (N, dim, dim) array, with sum_j R_j^dag R_j = I; N may exceed dim."""
 
     dim: int
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = []
-        for idx, r in enumerate(self.operators):
-            r = qmath.as_operator(r)
-            if r.shape != (self.dim, self.dim):
-                raise ValueError(f"operator {idx} has shape {r.shape}, expected {(self.dim, self.dim)}")
-            r = r.copy()
-            r.setflags(write=False)
-            ops.append(r)
-        object.__setattr__(self, "operators", tuple(ops))
+        ops = np.array(self.operators, dtype=complex)  # a ragged list raises ValueError here
+        if ops.ndim != 3 or ops.shape[1:] != (self.dim, self.dim) or len(ops) == 0:
+            raise ValueError(f"operators have shape {ops.shape}, expected (N >= 1, {self.dim}, {self.dim})")
+        if not np.isfinite(ops).all():
+            raise ValueError("operator entries must be finite")
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -43,58 +41,54 @@ class Povm:
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> Povm:
     """Certify completeness and nonnegativity, or raise ValueError."""
-    total = np.zeros((p.dim, p.dim), dtype=complex)
-    for idx, r in enumerate(p.operators):
-        gram = r.conj().T @ r
-        herm = (gram + gram.conj().T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(herm)[0])
-        if min_eig < _PSD_TOL:
-            raise ValueError(f"operator {idx} is not positive semidefinite (min eig {min_eig})")
-        total += gram
-    err = np.abs(total - np.eye(p.dim)).max()
+    grams = p.operators.conj().transpose(0, 2, 1) @ p.operators
+    min_eigs = np.linalg.eigvalsh((grams + grams.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    bad = np.flatnonzero(min_eigs < _PSD_TOL)
+    if bad.size:
+        raise ValueError(f"operator {bad[0]} is not positive semidefinite (min eig {float(min_eigs[bad[0]])})")
+    err = np.abs(grams.sum(axis=0) - np.eye(p.dim)).max()
     if err > tol:
         raise ValueError(f"completeness violated: max deviation {err}")
     return p
 
 
-def _outcome_posteriors(r: np.ndarray, family: EncodingFamily) -> np.ndarray:
-    """Row i: P(d | outcome R, announced i) under the uniform prior, one product per encoding.
-
-    Uses the trace-normalized operator S = R / s with s^2 = Tr(R^dag R).
-    Unitary invariance makes every |S E_i|^2 sum to 1; a deviation beyond
-    1e-12 s^2 means the normalizer depends on the encoding choice.
-    """
-    s2 = float(np.trace(r.conj().T @ r).real)
-    if s2 < 1e-15:
+def _posteriors(p: Povm, family: EncodingFamily) -> tuple:
+    """(povm_posteriors, s_j^2 for every operator j) from k products S @ E_i."""
+    s2 = np.trace(p.operators.conj().transpose(0, 2, 1) @ p.operators, axis1=1, axis2=2).real
+    if (s2 < 1e-15).any():
         raise ValueError("degenerate operator: Tr(R^dag R) ~ 0")
-    s_op = r / np.sqrt(s2)
-    rows = np.empty((family.k, family.n))
+    s_ops = p.operators / np.sqrt(s2)[:, None, None]
+    probs = np.empty((len(p), family.k, family.n))
     for i in range(family.k):
-        probs = (np.abs(s_op @ family.encoder(i)) ** 2).sum(axis=0)
-        if abs(probs.sum() - 1.0) * s2 > 1e-12 * max(1.0, s2):
-            raise BoundViolation("normalizer varies with the encoding choice")
-        rows[i] = probs / probs.sum()
-    return rows
+        probs[:, i] = (np.abs(s_ops @ family.encoder(i)) ** 2).sum(axis=1)
+    sums = probs.sum(axis=2)
+    if (np.abs(sums - 1.0) * s2[:, None] > 1e-12 * np.maximum(1.0, s2)[:, None]).any():
+        raise BoundViolation("normalizer varies with the encoding choice")
+    return probs / sums[:, :, None], s2
 
 
-def povm_posterior(p: Povm, family: EncodingFamily, i: int, j: int) -> np.ndarray:
-    """P(d | outcome j, announced i) under the uniform prior (see `_outcome_posteriors`)."""
-    if not (0 <= j < len(p.operators) and 0 <= i < family.k):
-        raise ValueError(f"outcome {j} or encoding {i} out of range")
-    return _outcome_posteriors(p.operators[j], family)[i]
+def povm_posteriors(p: Povm, family: EncodingFamily) -> np.ndarray:
+    """Entry [j, i]: P(d | outcome j, announced i) under the uniform prior.
+
+    Uses the trace-normalized operators S_j = R_j / s_j with s_j^2 = Tr(R_j^dag R_j),
+    one product S @ E_i per encoding for the whole stack.  Unitary invariance
+    makes every |S_j E_i|^2 sum to 1; a deviation beyond 1e-12 s_j^2 means the
+    normalizer depends on the encoding choice.
+    """
+    return _posteriors(p, family)[0]
 
 
 def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
     """Entropy/gain accounting of a POVM against every encoding choice.
 
-    Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
-    Each outcome costs k products R_j E_i, shared by the normalizer check and
-    the posteriors.
+    Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities;
+    the k products S @ E_i serve the normalizer check and the posteriors.
     """
     n = family.n
     log_n = float(np.log2(n))
-    h_cond = np.array([qmath.entropy_rows(_outcome_posteriors(r, family)) for r in p.operators])
-    weights = np.array([float(np.trace(r.conj().T @ r).real) / n for r in p.operators])
+    posteriors, s2 = _posteriors(p, family)
+    h_cond = qmath.entropy_rows(posteriors)
+    weights = s2 / n
     h_avg = h_cond.mean(axis=1)
     gains = log_n - h_avg
     return {
@@ -143,16 +137,15 @@ def random_povm(dim: int, n_ops: int, rng: SeededRng) -> Povm:
         ranks = [int(g.integers(1, dim + 1)) for _ in range(n_ops)]
         if sum(ranks) >= dim:
             break
-    raw = []
-    for rank in ranks:
+    raw = np.empty((n_ops, dim, dim), dtype=complex)
+    for j, rank in enumerate(ranks):
         x = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
         y = g.standard_normal((rank, dim)) + 1j * g.standard_normal((rank, dim))
-        raw.append((x @ y) / (2.0 * np.sqrt(dim * rank)))
-    total = sum(r.conj().T @ r for r in raw)
+        raw[j] = (x @ y) / (2.0 * np.sqrt(dim * rank))
+    total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0)
     total = (total + total.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(total)
     if eigvals.min() <= 1e-12:
         raise ValueError("degenerate completeness sum; try another stream")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-    ops = tuple(r @ inv_sqrt for r in raw)
-    return validate_povm(Povm(dim=dim, operators=ops))
+    return validate_povm(Povm(dim=dim, operators=raw @ inv_sqrt))

@@ -355,18 +355,6 @@ class TestEncoderCertification:
         monkeypatch.setattr(qmath, "is_unitary", lambda mat, tol=1e-9: shapes.append(np.shape(mat)) or real(mat, tol))
         for basis in bases:
             fam = build_family(basis)
-            assert shapes == []
-            fam.encoder(1)
-            assert shapes == [(fam.n, fam.n)]  # certified when first built
-            fam.encoder(1)
-            assert shapes == [(fam.n, fam.n)]  # then read from the cache
-            shapes.clear()
-
-    def test_corrupt_factor_fails_at_first_encoder_and_caches_nothing(self):
-        fam = explicit_single_bit_family()
-        a1 = fam.basis.matrices[1]
-        a1.setflags(write=True)
-        a1 *= 1.1  # E_0 = A_0 x A_1 is no longer unitary
-        with pytest.raises(CertificationError, match="E_0"):
-            fam.encoder(0)
-        assert fam._dense_cache == {}
+            first = fam.encoder(1)
+            assert np.array_equal(fam.encoder(1), first)  # built again, to the same bits
+            assert shapes == []  # the item bases were certified when the family was made

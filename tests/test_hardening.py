@@ -241,6 +241,12 @@ class TestGuessAttack:
             xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
 
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            xor_guess_attack(explicit_single_bit_family(), DatabaseState(2, 1, (1, 0)), 1, trials, SeededRng(3))
+
+
 class TestMaskedSession:
     def test_honest_decode_exhaustive_m2(self):
         fam = walsh_family(2)
@@ -291,3 +297,8 @@ class TestBitTargetingAudit:
     def test_threshold_configurable(self):
         rep = bit_targeting_audit(4, 100, SeededRng(32), threshold=0.5)
         assert rep["threshold"] == 0.5
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            bit_targeting_audit(3, trials, SeededRng(4))

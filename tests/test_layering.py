@@ -1,12 +1,16 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
 only `qmath` owns a worker pool, each chunked audit enters it once and Haar
 sampling never does, importing obliq loads no scipy, and a per-slot posterior
-applies no Kronecker chain."""
+applies no Kronecker chain.  The benchmark contract: the span tracer in
+perfbench/ installs and uninstalls cleanly, and every obliq name the workloads
+read exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_fa
 from obliq.protocol import honest_basis, invert_basis, parity_basis, posterior
 
 PACKAGE = Path(obliq.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
 
 
@@ -271,3 +276,114 @@ def test_chain_spy_catches_the_parity_path(monkeypatch):
     calls = spy_chain_calls(monkeypatch)
     posterior(parity_basis(), fam, 1, 0)
     assert calls == ["vec_times_encoder", "kron_apply"]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark contract: perfbench/ patches and calls obliq names by string
+
+
+def _load_perfbench_module(name: str) -> types.ModuleType:
+    """Execute perfbench/<name>.py from its text, so no bytecode lands in perfbench/."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_span_tracer_installs_and_restores_every_patched_name():
+    spans = _load_perfbench_module("spans")
+    owners = [obliq] + [importlib.import_module(f"obliq.{name}") for name in spans.MODULES]
+    owners += [getattr(getattr(obliq, mod), cls) for mod, classes in spans.METHODS.items() for cls in classes]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(obliq)
+        assert vars(EncodingFamily)["encoder"] is not before[owners.index(EncodingFamily)]["encoder"]
+        assert vars(analysis)["_parallel_map"] is not before[owners.index(analysis)]["_parallel_map"]
+    finally:
+        tracer.uninstall()
+    for owner, saved in zip(owners, before):
+        now = dict(vars(owner))
+        assert now.keys() == saved.keys(), owner
+        assert [attr for attr in saved if now[attr] is not saved[attr]] == [], owner
+
+
+def workload_names(source: str) -> set:
+    """Every dotted obliq name the workloads source reads, as "module.attr".
+
+    A name bound to `self.o` or `o` (the obliq package) or to an attribute
+    chain under it is an alias; every attribute chain rooted at an alias, at
+    `self.o` or at `o` is resolved through the aliases.
+    """
+    tree = ast.parse(source)
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        return [node.id] + names[::-1]
+
+    aliases = {"o": {""}}
+
+    def resolve(parts):
+        if parts[:2] == ["self", "o"]:
+            return {".".join(parts[2:])}
+        return {".".join(p for p in [base] + parts[1:] if p) for base in aliases.get(parts[0], ())}
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for name, val in pairs:
+                parts = chain(val)
+                if isinstance(name, ast.Name) and parts and resolve(parts):
+                    aliases.setdefault(name.id, set()).update(resolve(parts))
+    found = set()
+    for node in ast.walk(tree):
+        parts = chain(node) if isinstance(node, ast.Attribute) else None
+        if parts:
+            found |= {name for name in resolve(parts) if name}
+    return found
+
+
+def _obliq_has(dotted: str) -> bool:
+    module, *rest = dotted.split(".")
+    obj = importlib.import_module(f"obliq.{module}")
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_the_workloads_read_exists():
+    names = workload_names((PERFBENCH / "workloads.py").read_text())
+    assert {"encodings.build_family", "hardening.masked_session", "analysis.max_leakage", "cli.main"} <= names
+    assert sorted(name for name in names if not _obliq_has(name)) == []
+
+
+def test_workload_name_resolver_follows_aliases():
+    source = "\n".join(
+        [
+            "def setup(self, cli):",
+            "    enc, Rng = self.o.encodings, self.o.qmath.SeededRng",
+            "    o = self.o",
+            "    P = o.protocol",
+            "    return enc.mub_family(2, 1), P.gone_name, self.o.povm.Povm, cli.main, Rng(1)",
+        ]
+    )
+    assert workload_names(source) == {
+        "encodings",
+        "qmath",
+        "qmath.SeededRng",
+        "encodings.mub_family",
+        "protocol",
+        "protocol.gone_name",
+        "povm",
+        "povm.Povm",
+    }

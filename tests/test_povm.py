@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from obliq.encodings import build_family, explicit_single_bit_family, mub_family, walsh_family
+from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_family
 from obliq.povm import (
     Povm,
     povm_entropy_bound_check,
     povm_gain_account,
-    povm_posterior,
+    povm_posteriors,
     random_povm,
     validate_povm,
 )
@@ -47,6 +47,31 @@ class TestValidation:
         p = Povm(dim=2, operators=(np.eye(2), np.eye(2)))
         with pytest.raises(ValueError, match="completeness"):
             validate_povm(p)
+
+    def test_operators_are_one_frozen_array(self):
+        ops = [np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)]
+        p = Povm(dim=2, operators=ops)
+        assert isinstance(p.operators, np.ndarray) and p.operators.shape == (2, 2, 2)
+        assert len(p) == 2 and not p.operators.flags.writeable
+        ops[0][0, 0] = 9.0  # the caller's list is copied, not shared
+        assert p.operators[0][0, 0] == pytest.approx(np.sqrt(0.5))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (np.eye(2), np.eye(3)),  # ragged
+            (),  # empty
+            [],  # empty list
+            (np.eye(3), np.eye(3)),  # wrong dimension
+            np.eye(2),  # one matrix, not a list of them
+            (np.eye(2), np.array([[np.nan, 0], [0, 1]])),
+            (np.eye(2), np.array([[np.inf, 0], [0, 1]])),
+        ],
+        ids=["ragged", "empty-tuple", "empty-list", "wrong-dim", "bare-matrix", "nan", "inf"],
+    )
+    def test_refuses_malformed_operator_lists(self, ops):
+        with pytest.raises(ValueError):
+            Povm(dim=2, operators=ops)
 
 
 class TestPovmFromBasis:
@@ -125,11 +150,11 @@ class TestPovmPosterior:
         # full enumeration at k=2, m=1 against the projective posterior
         rng = SeededRng(21)
         basis = custom_basis(haar_unitary(4, rng))
-        p = povm_from_basis(basis)
+        post = povm_posteriors(povm_from_basis(basis), explicit)
         for i in range(2):
             for j in range(4):
                 np.testing.assert_allclose(
-                    povm_posterior(p, explicit, i, j),
+                    post[j, i],
                     posterior(basis, explicit, i, j),
                     atol=1e-9,
                 )
@@ -139,7 +164,7 @@ class TestPovmPosterior:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    povm_posterior(p, explicit, i, j), np.full(4, 0.25), atol=1e-12
+                    povm_posteriors(p, explicit)[j, i], np.full(4, 0.25), atol=1e-12
                 )
 
     def test_rank2_eigen_mixture(self, explicit):
@@ -155,7 +180,7 @@ class TestPovmPosterior:
         rest = (eigvecs * np.sqrt(np.clip(eigvals, 0, None))) @ eigvecs.conj().T
         p = validate_povm(Povm(dim=4, operators=(s_op, rest)))
         for i in range(2):
-            mixture = povm_posterior(p, explicit, i, 0)
+            mixture = povm_posteriors(p, explicit)[0, i]
             e_i = explicit.encoder(i)
             parts = []
             for vec in (v, w):
@@ -181,7 +206,7 @@ class TestPovmPosterior:
                     lam[r] * np.abs(vecs[:, r].conj() @ e_i) ** 2 for r in range(4)
                 )
                 np.testing.assert_allclose(
-                    povm_posterior(p, explicit, i, 0), mixture, atol=1e-9
+                    povm_posteriors(p, explicit)[0, i], mixture, atol=1e-9
                 )
 
     def test_normalizer_encoding_invariance(self, explicit):
@@ -195,6 +220,39 @@ class TestPovmPosterior:
             assert abs(traces[0] - traces[1]) <= 1e-12 * max(1.0, traces[0])
 
 
+ACCOUNT_FAMILIES = [
+    explicit_single_bit_family(),
+    walsh_family(2),
+    build_family(mub_family(2, 2)),
+    build_family(mub_family(3, 1)),
+]
+ACCOUNT_IDS = ["explicit", "walsh2", "mub22", "mub31"]
+
+
+def _per_operator_account(p: Povm, family) -> dict:
+    """The account as one loop over operators and encodings, k products per operator."""
+    n = family.n
+
+    def rows(r):
+        s2 = float(np.trace(r.conj().T @ r).real)
+        s_op = r / np.sqrt(s2)
+        out = np.empty((family.k, n))
+        for i in range(family.k):
+            probs = (np.abs(s_op @ family.encoder(i)) ** 2).sum(axis=0)
+            out[i] = probs / probs.sum()
+        return out
+
+    h_cond = np.array([entropy_rows(rows(r)) for r in p.operators])
+    weights = np.array([float(np.trace(r.conj().T @ r).real) / n for r in p.operators])
+    gains = float(np.log2(n)) - h_cond.mean(axis=1)
+    return {
+        "h_cond": h_cond,
+        "weights": weights,
+        "gain_worst": float(gains.max()),
+        "gain_expected": float((weights * gains).sum()),
+    }
+
+
 class TestGainAccount:
     @pytest.mark.parametrize(
         "family", [explicit_single_bit_family(), build_family(mub_family(2, 2))], ids=["explicit", "mub22"]
@@ -203,20 +261,45 @@ class TestGainAccount:
         root = SeededRng(88)
         for t in range(5):
             p = random_povm(family.n, 3 + t, root.derive(t))
-            acct = povm_gain_account(p, family)
+            acct, post = povm_gain_account(p, family), povm_posteriors(p, family)
             for j in range(len(p)):
                 for i in range(family.k):
-                    expected = entropy_rows(povm_posterior(p, family, i, j))
+                    expected = entropy_rows(post[j, i])
                     assert abs(acct["h_cond"][j, i] - expected) <= 1e-12
 
     def test_normalizer_mismatch_is_a_bound_violation(self):
         fam = explicit_single_bit_family()
-        fam._dense_cache[1] = 1.1 * fam.encoder(1)  # corrupt: E_1 no longer unitary
+        a1 = fam.basis.matrices[1]
+        a1.setflags(write=True)
+        a1 *= 1.1  # corrupt a factor after build: no encoder is unitary any more
         p = random_povm(4, 3, SeededRng(89))
         with pytest.raises(BoundViolation, match="normalizer"):
             povm_gain_account(p, fam)
-        with pytest.raises(BoundViolation):
-            povm_posterior(p, fam, 0, 0)
+        with pytest.raises(BoundViolation, match="normalizer"):
+            povm_posteriors(p, fam)
+
+    @pytest.mark.parametrize("family", ACCOUNT_FAMILIES, ids=ACCOUNT_IDS)
+    def test_stacked_account_has_the_per_operator_bits(self, family):
+        root = SeededRng(90)
+        for n_ops in range(2, 2 * family.n + 1):
+            p = random_povm(family.n, n_ops, root.derive(n_ops))
+            acct, loop = povm_gain_account(p, family), _per_operator_account(p, family)
+            assert np.array_equal(acct["h_cond"], loop["h_cond"])
+            assert np.array_equal(acct["weights"], loop["weights"])
+            assert acct["gain_worst"] == loop["gain_worst"]
+            assert acct["gain_expected"] == loop["gain_expected"]
+
+    @pytest.mark.parametrize("family", ACCOUNT_FAMILIES, ids=ACCOUNT_IDS)
+    def test_k_encoders_per_account(self, family, monkeypatch):
+        calls = []
+        real = EncodingFamily.encoder
+        monkeypatch.setattr(EncodingFamily, "encoder", lambda fam, i: calls.append(i) or real(fam, i))
+        root = SeededRng(91)
+        for n_ops in range(1, 2 * family.n + 1):
+            p = random_povm(family.n, n_ops, root.derive(n_ops))
+            calls.clear()
+            povm_gain_account(p, family)
+            assert calls == list(range(family.k))
 
 
 class TestEntropyBound:

@@ -200,9 +200,12 @@ class TestInfoAccount:
 class TestBoundViolations:
     def test_info_account_row_sums(self):
         fam = explicit_single_bit_family()
-        fam._dense_cache[1] = 1.1 * fam.encoder(1)  # corrupt: E_1 no longer unitary
+        basis = honest_basis(fam, 0)
+        a1 = fam.basis.matrices[1]
+        a1.setflags(write=True)
+        a1 *= 1.1  # corrupt a factor after build: no encoder is unitary any more
         with pytest.raises(BoundViolation, match="row sums"):
-            info_account(honest_basis(fam, 0), fam)
+            info_account(basis, fam)
 
     def test_matched_invert_guess_must_pin_the_configuration(self, explicit):
         flat = np.full(4, 0.25)  # corrupt posterior: no configuration pinned
