@@ -16,6 +16,7 @@ of the audit agree there.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from dataclasses import dataclass, field
@@ -94,10 +95,10 @@ def _uncertainty_slacks(dim: int, trials: int, stream: SeededRng) -> np.ndarray:
     return np.concatenate(_chunk_map(chunk, trials, _chunk_trials(dim * dim), stream))
 
 
-def verify_theorem1(dim: int, trials: int, rng: SeededRng, tol: float = 1e-9) -> BoundReport:
+def verify_theorem1(dim: int, trials: int, rng: SeededRng) -> BoundReport:
     """Randomized audit of the two-measurement entropic uncertainty bound.
 
-    Checks H2(Au) + H2(Bu) + 2 log2 Linf(A B^dag) >= -tol over Haar pairs
+    Checks H2(Au) + H2(Bu) + 2 log2 Linf(A B^dag) >= -1e-9 over Haar pairs
     (A, B) and Haar states u, plus the flat special case A = I, B = Walsh
     where the right side equals log2(dim) exactly.  Haar measure is invariant
     under multiplication by a fixed unitary (Mezzadri, math-ph/0609050), so
@@ -126,7 +127,7 @@ def verify_theorem1(dim: int, trials: int, rng: SeededRng, tol: float = 1e-9) ->
         suite="entropic",
         trials=trials,
         min_slack=float(slack.min()),
-        violations=int((slack < -tol).sum()),
+        violations=int((slack < -1e-9).sum()),
         parameters={"dim": dim, "haar_min_slack": haar_min, "hadamard_case": hadamard},
     )
 
@@ -315,7 +316,8 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     strict local optima of f, so a descent from them cannot move, and the
     result never falls below the honest strategy.  Later restarts run
     `_descend` from Haar unitaries; only they build the dense encoder block,
-    and from n = _POOL_RESTART_DIM they run on the worker pool.  The winner
+    and from n = _POOL_RESTART_DIM they spread over every lane of the worker
+    pool (leakage_scan runs its cells in order, never on a lane).  The winner
     is the lowest f, ties to the earliest restart, so the thread count never
     changes the result.  best_gain is log2 n minus the winner's f as the
     search evaluated it; best_params are the winner's Hermitian parameters
@@ -380,20 +382,17 @@ def scan_cells(k_values, m_values) -> list:
 def leakage_scan(k_values, m_values, config: OptimizerConfig, rng: SeededRng):
     """max_leakage over the scan_cells of a (k, m) grid, plus a power-law fit.
 
+    Cells run one at a time, in order, so the pool only ever runs leaf work:
+    each cell's Haar restarts from n = _POOL_RESTART_DIM use every lane.
     Returns (results, fit) where fit holds the least-squares constants of
     gain ~ c * k^alpha * m next to the 0.4 * k^0.7 * m rule of thumb this
     scan is compared against.
     """
-    cells = scan_cells(k_values, m_values)
-
-    def run_cell(args):
-        idx, (k, m) = args
-        family = build_family(mub_family(k, m))
-        return max_leakage(family, config, rng.derive(idx))
-
-    results = _parallel_map(run_cell, list(enumerate(cells)))
-    fit = fit_power_law(results)
-    return results, fit
+    results = [
+        max_leakage(build_family(mub_family(k, m)), config, rng.derive(idx))
+        for idx, (k, m) in enumerate(scan_cells(k_values, m_values))
+    ]
+    return results, fit_power_law(results)
 
 
 def fit_power_law(results) -> dict:
@@ -559,45 +558,29 @@ def random_family_leakage_trend(k_values, m_values, seeds: int, rng: SeededRng):
     (leakage exactly 0) are included for every cell where one exists.
     """
     rows = []
-    cell = 0
-    for k in k_values:
-        for m in m_values:
-            if k <= (1 << m) + 1:
-                fam = build_family(mub_family(k, m))
-                leak = _mean_honest_leakage(fam)
-                rows.append(
-                    {
-                        "k": k,
-                        "m": m,
-                        "family": "mub",
-                        "seed": None,
-                        "leakage_bits": leak,
-                        "per_item_bits": leak / (k - 1),
-                        "per_item_fraction": leak / ((k - 1) * m),
-                        "max_overlap": float(2.0 ** (-m / 2.0)),
-                        "per_item_bound_bits": 0.0,
-                    }
-                )
-            for s in range(seeds):
-                fam = build_family(random_family(k, m, rng.derive(cell * 1000 + s)))
-                leak = _mean_honest_leakage(fam)
-                t = fam.basis.max_pairwise_overlap
-                rows.append(
-                    {
-                        "k": k,
-                        "m": m,
-                        "family": "random",
-                        "seed": s,
-                        "leakage_bits": leak,
-                        "per_item_bits": leak / (k - 1),
-                        "per_item_fraction": leak / ((k - 1) * m),
-                        "max_overlap": t,
-                        "per_item_bound_bits": float(m + 2.0 * np.log2(t)),
-                    }
-                )
-            cell += 1
+
+    def row(fam, seed, overlap, bound):
+        k, m = fam.k, fam.m
+        leak = float(np.mean([honest_leakage(fam, j) for j in range(k)]))
+        rows.append(
+            {
+                "k": k,
+                "m": m,
+                "family": fam.kind,
+                "seed": seed,
+                "leakage_bits": leak,
+                "per_item_bits": leak / (k - 1),
+                "per_item_fraction": leak / ((k - 1) * m),
+                "max_overlap": overlap,
+                "per_item_bound_bits": bound,
+            }
+        )
+
+    for cell, (k, m) in enumerate(itertools.product(k_values, m_values)):
+        if k <= (1 << m) + 1:
+            row(build_family(mub_family(k, m)), None, float(2.0 ** (-m / 2.0)), 0.0)
+        for s in range(seeds):
+            fam = build_family(random_family(k, m, rng.derive(cell * 1000 + s)))
+            t = fam.basis.max_pairwise_overlap
+            row(fam, s, t, float(m + 2.0 * np.log2(t)))
     return rows
-
-
-def _mean_honest_leakage(family: EncodingFamily) -> float:
-    return float(np.mean([honest_leakage(family, j) for j in range(family.k)]))

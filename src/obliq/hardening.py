@@ -8,7 +8,7 @@ masked value pins no individual bit of the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class GfMask:
     m: int
     a: int
     b: int
-    modulus: int = 0
+    modulus: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.m <= gf2.MAX_DEGREE:
@@ -35,10 +35,7 @@ class GfMask:
             raise ValueError("mask coefficient a must be a nonzero field element")
         if not 0 <= self.b < limit:
             raise ValueError("mask offset b out of range")
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", gf2.irreducible_poly(self.m))
-        elif not gf2.is_irreducible(self.modulus) or gf2.poly_degree(self.modulus) != self.m:
-            raise ValueError("modulus must be irreducible of degree m")
+        object.__setattr__(self, "modulus", gf2.irreducible_poly(self.m))
 
     def apply(self, d: int) -> int:
         """a*d + b in GF(2^m) (carry-less product, addition is XOR)."""

@@ -416,6 +416,31 @@ class TestLeakageScan:
         b = scan_csv(*leakage_scan([2], [1], cfg, SeededRng(16)))
         assert a == b
 
+    def test_no_pool_call_starts_inside_a_lane(self, monkeypatch):
+        # cells run in order, so the (3,2) cell's two Haar restarts (n = 64)
+        # are the scan's only pool work and start from outside any lane
+        entries = []
+        real = analysis._parallel_map
+
+        def spy(fn, items):
+            items = list(items)
+            entries.append((len(items), getattr(qmath._LANE, "busy", False)))
+            return real(fn, items)
+
+        monkeypatch.setattr(analysis, "_parallel_map", spy)
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+        results, fit = leakage_scan([2, 3], [1, 2], OptimizerConfig(restarts=8, iterations=40), SeededRng(4))
+        assert entries == [(2, False)]
+        # the CSV that tests/test_cli.py pins for scan --restarts 8 --iters 40 --seed 4
+        assert scan_csv(results, fit) == (
+            "k,m,family,best_gain_bits,bound_bits,restarts,iters,seed\n"
+            "2,1,mub,1.000000000,1.000000000,8,40,4\n"
+            "2,2,mub,2.000000000,2.000000000,8,40,4\n"
+            "3,1,mub,1.333333313,1.500000000,8,40,4\n"
+            "3,2,mub,2.687053163,3.000000000,8,40,4\n"
+            "# fit c=0.607559 alpha=0.718903 reference c=0.4 alpha=0.7\n"
+        )
+
     def test_fit_power_law_exact_recovery(self):
         # synthetic rows following 0.5 * k^0.8 * m exactly
         class Row:
@@ -575,7 +600,7 @@ class TestAuditChunks:
         assert reports[0] == reports[1]
 
     def test_lanes_racing_to_build_the_encoders_change_nothing(self, monkeypatch):
-        # eight chunks on a fresh family: the lanes race to build and cache each encoder
+        # eight chunks on a fresh family, with more lanes than cores and a tiny switch interval
         monkeypatch.setenv("OBLIQ_THREADS", "1")
         ref = projective_gain_audit(build_family(mub_family(2, 2)), 8192, SeededRng(6)).to_json()
         monkeypatch.setenv("OBLIQ_THREADS", "8")  # more lanes than cores

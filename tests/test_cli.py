@@ -284,8 +284,8 @@ class TestScan:
             b"3,2,mub,2.000000000,3.000000000,3,30,4\n"
             b"# fit c=1.000000 alpha=0.000000 reference c=0.4 alpha=0.7\n"
         )
-        # 8 restarts exceed 2k in every cell, so every cell on the thread pool
-        # runs Haar descents; at k = 3 a Haar descent wins
+        # 8 restarts exceed 2k in every cell, so every cell runs Haar descents
+        # (on the pool at n = 64); at k = 3 a Haar descent wins
         assert csv("8", "40") == (
             b"k,m,family,best_gain_bits,bound_bits,restarts,iters,seed\n"
             b"2,1,mub,1.000000000,1.000000000,8,40,4\n"
