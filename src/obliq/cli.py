@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, hardening, protocol, qmath
 from .analysis import OptimizerConfig
 from .encodings import (
+    MAX_SHARE_ROUNDS,
     build_family,
     check_desk_cell,
     cyclic_family,
@@ -235,6 +236,8 @@ def cmd_session(args) -> int:
         check_desk_cell(args.k, args.m)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if not 1 <= args.r <= MAX_SHARE_ROUNDS:
+        raise UsageError(f"--r must be in 1..{MAX_SHARE_ROUNDS}, got {args.r}")
     rng = SeededRng(args.seed)
     family = _make_family(args, rng.derive(0))
     db_value = _parse_db(args.db, args.k, args.m)
@@ -250,8 +253,6 @@ def cmd_session(args) -> int:
             args.m, int(gen.integers(1, 1 << args.m)), int(gen.integers(1 << args.m))
         )
 
-    if args.r < 1:
-        raise UsageError("--r must be >= 1")
     if args.r == 1:
         sessions = [(db, rng.derive(1))]
     else:
@@ -281,7 +282,7 @@ def cmd_session(args) -> int:
             "decoded": decoded,
             "seed": [rng.seed, rng.stream],
         }
-    return _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    return _write_output(protocol.transcript_json(doc, indent=2) + "\n", args.out)
 
 
 def _verify_one(suite: str, args, rng: SeededRng):

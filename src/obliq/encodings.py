@@ -37,6 +37,11 @@ VALID_KINDS = ("walsh", "mub", "cyclic", "random", "tensorized", "explicit")
 # space never exceeds MAX_DENSE_DIM.
 MAX_KM = 12
 MAX_DENSE_DIM = 1 << MAX_KM
+# A share-split session holds every round's transcript until it writes them,
+# each with a posterior of up to MAX_DENSE_DIM floats.  At that size a round
+# costs about 0.3 MB (the floats, their dict copy and their JSON text), so
+# `session --r 256` peaks near 115 MB.
+MAX_SHARE_ROUNDS = 256
 
 
 def check_desk_cell(k: int, m: int) -> None:

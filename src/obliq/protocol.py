@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -405,7 +408,98 @@ class SessionTranscript:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
+        return transcript_json(self.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# transcript JSON
+
+# Posteriors shorter than this go to json.dumps: at 512 entries of 0 and 1 the
+# two writers take about the same time, and below it json.dumps is faster.
+_SHARED_REPR_MIN = 512
+# A posterior is judged on its first _HEAD nonzero entries.  Structured
+# posteriors (mub, walsh, cyclic, explicit) repeat one value 2^-t there;
+# random and tensorized ones show 10 to 16 distinct values, and with that
+# many json.dumps's compact C writer is as fast as shared reprs.
+_HEAD = 16
+_SLOT = "\x00posterior\x00"  # stands in for each posterior list in the skeleton
+
+
+def transcript_json(doc, indent=None) -> str:
+    """Exactly `json.dumps(doc, indent=indent, allow_nan=False)`, written sooner.
+
+    `doc` is a transcript (`SessionTranscript.to_dict`) or a share-split
+    document whose `rounds` are transcripts.  Each `posterior` list is
+    written from its distinct values: `repr` runs once per IEEE bit pattern,
+    so 0.0 and -0.0 stay apart, and each run of equal entries is one string
+    product.  The rest is dumped with every posterior swapped for a
+    placeholder, which is then spliced out.  A document goes to json.dumps
+    whole if a posterior is shorter than `_SHARED_REPR_MIN`, holds more
+    than `_HEAD // 4` distinct values among its first `_HEAD` nonzero
+    entries (random and tensorized families), holds an entry that is not a
+    float, or is not finite; json.dumps refuses NaN and infinity with
+    ValueError.  (An entry without a truth value, such as a numpy array,
+    raises ValueError where json.dumps raises TypeError.)
+    """
+    posts = []
+    skeleton = _stub_posteriors(doc, posts, 1) if isinstance(doc, dict) else doc
+    step = " " * indent if isinstance(indent, int) else indent
+    texts = []
+    for values, level in posts:
+        sep = ", " if step is None else ",\n" + step * (level + 1)
+        items = _posterior_items(values, sep)
+        if items is None:
+            return json.dumps(doc, indent=indent, allow_nan=False)
+        if step is not None:
+            items = f"\n{step * (level + 1)}{items}\n{step * level}"
+        texts.append(f"[{items}]")
+    parts = json.dumps(skeleton, indent=indent, allow_nan=False).split(json.dumps(_SLOT))
+    if len(parts) != len(texts) + 1:  # the document itself holds the placeholder string
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    out = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        out += (text, part)
+    return "".join(out)
+
+
+def _stub_posteriors(holder: dict, posts: list, level: int) -> dict:
+    """`holder` with each non-empty posterior list swapped for `_SLOT`.
+
+    Appends (list, nesting level) to `posts` in document order; the level is
+    1 in a transcript and 3 in a round of a share-split document.
+    """
+    out = {}
+    for key, value in holder.items():
+        if key == "posterior" and isinstance(value, list) and value:
+            posts.append((value, level))
+            value = _SLOT
+        elif key == "rounds" and level == 1 and isinstance(value, list):
+            value = [_stub_posteriors(r, posts, 3) if isinstance(r, dict) else r for r in value]
+        out[key] = value
+    return out
+
+
+def _posterior_items(values: list, sep: str):
+    """`sep.join(map(float.__repr__, values))`, or None where json.dumps should write them."""
+    n = len(values)
+    if n < _SHARED_REPR_MIN:
+        return None
+    head = list(islice(filter(None, values), _HEAD))
+    if not all(map(isinstance, head, repeat(float))) or len(set(head)) > _HEAD // 4:
+        return None
+    if not all(map(isinstance, values, repeat(float))):
+        return None
+    bits = np.frombuffer(array("d", values), dtype=np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    run_bits = bits[starts]
+    keys = run_bits.tolist()
+    # a dict, not np.unique, which imports numpy.ma (1.6 MB) on first use
+    distinct = dict(zip(keys, run_bits.view(np.float64).tolist()))
+    if not all(map(math.isfinite, distinct.values())):
+        return None
+    pieces = {b: repr(v) + sep for b, v in distinct.items()}
+    runs = map(operator.mul, map(pieces.__getitem__, keys), np.diff(starts, append=n).tolist())
+    return "".join(runs)[: -len(sep)]
 
 
 def run_session(

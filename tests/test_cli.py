@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import obliq
 from obliq import analysis
 from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
+from obliq.encodings import MAX_SHARE_ROUNDS
 
 
 def run(argv, capsys):
@@ -122,6 +124,35 @@ class TestSession:
         assert doc["xor_rounds"] == 3
         assert len(doc["rounds"]) == 3
         assert doc["decoded"] == {"kind": "item", "index": 1, "value": 1}
+
+    def test_share_rounds_at_n_4096_pinned(self, capsys):
+        # the indented rounds document, as written before transcript_json
+        code, out, _ = run(
+            ["session", "--k", "2", "--m", "6", "--family", "mub", "--db", "5A3", "--r", "3", "--seed", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3e8fdc26e21db81d335fc03091b2268082fb02037b38b2dd7e0f77ba332189b9"
+        )
+
+    def test_share_rounds_are_capped_before_any_session_runs(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            ["session", "--k", "2", "--m", "6", "--family", "mub", "--db", "0", "--r", "100000", "--seed", "1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error") and "--r" in lines[0]
+
+    @pytest.mark.parametrize("r, code", [(MAX_SHARE_ROUNDS, EXIT_OK), (MAX_SHARE_ROUNDS + 1, EXIT_USAGE)])
+    def test_share_round_cap_boundary(self, r, code, capsys):
+        got, out, _ = run(["session", "--family", "explicit", "--db", "2", "--r", str(r), "--seed", "4"], capsys)
+        assert got == code
+        if code == EXIT_OK:
+            assert len(json.loads(out)["rounds"]) == r
 
     def test_parity_strategy(self, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -41,9 +41,10 @@ from obliq.protocol import (
     run_session,
     sample_outcome,
     slot_entropy,
+    transcript_json,
     vendor_encode,
 )
-from obliq.protocol import _decode
+from obliq.protocol import _HEAD, _SHARED_REPR_MIN, _SLOT, _decode, _posterior_items
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, is_unitary
 
 S = np.sqrt(0.5)
@@ -437,6 +438,129 @@ class TestTranscriptBytes:
             "3840afee5fb3ad6bac7323e9efe68d3c3baf081f24315a38fa4dca2ceb039048",
             "9affa13735fe6d7f8e8af72cb819d45269145b268ba9c748ffd6bfd161abe34f",
         )
+
+
+    @pytest.mark.parametrize(
+        "seed, values, compact, indented",
+        [
+            (0, {2.0**-12}, "b9f86853bf037ca31d8bcc87d6ee5813cf8a5dcf6cbfc35a6f262f0981971e26",
+             "4157852f9f55003c7be71f508fa2d018aa4b242bd4204ad325b426f7e6d50900"),
+            (1, {0.0, 1.0}, "8450eeb671c52b37b91f2101271009c076681abc89f38db826c58b6a30e6fb47",
+             "90e5b20ec3cdb080d66bfab49b9e67eaec7e13dd2566300702a0e18902272001"),
+        ],
+        ids=["mismatched", "matched"],
+    )
+    def test_invert_sessions_compact_and_indented(self, seed, values, compact, indented):
+        # mub(3,4), database 5A3, guess 1: seed 0 announces 0, so every entry
+        # is 2^-12; seed 1 announces 1 and pins the configuration.  The
+        # digests are json.dumps's, compact and under indent=2.
+        fam = build_family(mub_family(3, 4))
+        tr = run_session(DatabaseState.from_index(0x5A3, 3, 4), fam, invert_basis(fam, 1), SeededRng(seed))
+        assert set(tr.posterior) == values
+        assert (_sha(tr.to_json()), _sha(transcript_json(tr.to_dict(), indent=2))) == (compact, indented)
+
+
+# finite floats json.dumps writes in unusual ways: signed zeros, subnormals,
+# the largest magnitudes and short and long reprs
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 2.0**-12, 0.1, 1.0, -1.0]
+
+
+@st.composite
+def float_lists(draw):
+    """Finite float lists on both sides of the shared-repr length: few values repeated, or all distinct."""
+    n = draw(st.integers(0, 3 * _SHARED_REPR_MIN))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=6))
+        picks = gen.integers(len(pool), size=n)
+        if draw(st.booleans()):
+            picks.sort()  # long runs
+        return [pool[i] for i in picks.tolist()]
+    bits = gen.integers(0, 2**64, size=2 * n, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:n].tolist()
+
+
+@pytest.fixture(scope="module")
+def transcript_doc():
+    fam = explicit_single_bit_family()
+    return run_session(DatabaseState(2, 1, (1, 0)), fam, honest_basis(fam, 0), SeededRng(3)).to_dict()
+
+
+def _rounds_doc(transcript: dict, posteriors) -> dict:
+    rounds = [dict(transcript, posterior=p) for p in posteriors]
+    return {"version": 1, "k": 2, "m": 1, "xor_rounds": len(rounds), "rounds": rounds,
+            "decoded": None, "seed": [13, 0]}
+
+
+def _assert_writes_as_json_dumps(doc, indent):
+    """transcript_json(doc, indent) == json.dumps; a mismatch names its first differing character.
+
+    (pytest's own diff of two long near-equal strings can take minutes.)
+    """
+    got, want = transcript_json(doc, indent), json.dumps(doc, indent=indent, allow_nan=False)
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"indent={indent!r}: differs at character {at}: {got[at - 30:at + 30]!r} "
+                    f"against {want[at - 30:at + 30]!r}")
+
+
+class TestTranscriptJson:
+    """transcript_json against json.dumps(..., allow_nan=False), byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(first=float_lists(), second=float_lists())
+    @example(first=[0.0] * 300 + [-0.0] * 300, second=[-0.0, 0.0] * 300)
+    @example(first=[5e-324] * 700 + [1e308] * 10, second=[2.0**-12] * 4096)
+    @example(first=[0.5] * 16 + [i / 7 for i in range(1, 1000)], second=[0.0] * 4095 + [1.0])
+    def test_equals_json_dumps(self, transcript_doc, first, second):
+        for doc in (dict(transcript_doc, posterior=first), _rounds_doc(transcript_doc, (first, second))):
+            for indent in (None, 2):
+                _assert_writes_as_json_dumps(doc, indent)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("n", [4, 4096])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_non_finite_values_raise(self, transcript_doc, bad, n, indent):
+        values = [0.0] * (n - 1) + [bad]
+        for doc in (dict(transcript_doc, posterior=values), _rounds_doc(transcript_doc, ([0.0] * n, values))):
+            with pytest.raises(ValueError):
+                transcript_json(doc, indent)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1] * 600, [1.0] * 300 + [1] * 300, [True] * 600, [0.5] * 599 + ["0.5"], [np.float64(0.25)] * 600],
+        ids=["ints", "int-among-floats", "bools", "string", "float-subclass"],
+    )
+    def test_entries_that_are_not_plain_floats(self, transcript_doc, values):
+        doc = dict(transcript_doc, posterior=values)
+        for indent in (None, 2):
+            _assert_writes_as_json_dumps(doc, indent)
+
+    def test_a_document_holding_the_placeholder(self, transcript_doc):
+        doc = dict(transcript_doc, prior=_SLOT, posterior=[0.0] * 1024)
+        for indent in (None, 2):
+            _assert_writes_as_json_dumps(doc, indent)
+
+    def test_which_posteriors_share_reprs(self):
+        # mub(3,4) honest and invert posteriors hold 0 and 2^-t only; random
+        # ones show many distinct values among their first nonzero entries
+        # and go to json.dumps, as do short lists.  Only those first entries
+        # decide.
+        db = DatabaseState.from_index(0x5A3, 3, 4)
+        fam = build_family(mub_family(3, 4))
+        for basis in (honest_basis(fam, 2), invert_basis(fam, 1)):
+            for seed in range(3):
+                assert _posterior_items(list(run_session(db, fam, basis, SeededRng(seed)).posterior), ", ")
+        fam = build_family(random_family(3, 4, SeededRng(5)))
+        for seed in range(3):
+            assert _posterior_items(list(run_session(db, fam, honest_basis(fam, 2), SeededRng(seed)).posterior), ", ") is None
+        assert _posterior_items([0.0] * (_SHARED_REPR_MIN - 1), ", ") is None
+        assert _posterior_items([0.0] * 100 + np.linspace(0, 1, 1000).tolist(), ", ") is None
+        assert _posterior_items([0.0] * 4095 + [1.0], ", ") is not None
+        assert _posterior_items([0.5] * _HEAD + np.linspace(0, 1, 1000).tolist(), ", ") is not None
 
 
 # the kinds whose item bases are certified pairwise unbiased at build
