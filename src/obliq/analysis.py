@@ -24,7 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .encodings import EncodingFamily, build_family, check_desk_cell, mub_family, random_family, walsh_matrix
+from .encodings import (
+    MAX_RESTARTS, MAX_SEARCH_DIM, MAX_TRIALS, EncodingFamily, build_family, check_desk_cell, mub_family,
+    random_family, walsh_matrix,
+)
 from .povm import povm_entropy_bound_check, random_povm
 from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs, slot_entropy
 from .qmath import BoundViolation, SeededRng
@@ -46,8 +49,8 @@ def _chunk_trials(entries_per_trial: int) -> int:
 
 def _chunk_map(fn, trials: int, per: int, stream: SeededRng) -> list:
     """[fn(count, stream.derive(c)) for chunk c of `per` trials] on the pool; no bit depends on the lanes."""
-    if trials < 1:
-        raise ValueError("an audit needs trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
     chunks = [(c, min(per, trials - lo)) for c, lo in enumerate(range(0, trials, per))]
     return _parallel_map(lambda chunk: fn(chunk[1], stream.derive(chunk[0])), chunks)
 
@@ -314,18 +317,18 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     exactly per item slot (`slot_entropy`), serially and with no dense
     evaluation; each basis is built only when its restart runs.  These are
     strict local optima of f, so a descent from them cannot move, and the
-    result never falls below the honest strategy.  Later restarts run
-    `_descend` from Haar unitaries; only they build the dense encoder block,
-    and from n = _POOL_RESTART_DIM they spread over every lane of the worker
-    pool (leakage_scan runs its cells in order, never on a lane).  The winner
-    is the lowest f, ties to the earliest restart, so the thread count never
-    changes the result.  best_gain is log2 n minus the winner's f as the
-    search evaluated it; best_params are the winner's Hermitian parameters
-    (see params_from_unitary).
+    result never falls below the honest strategy.  Later restarts, refused
+    above n = MAX_SEARCH_DIM, run `_descend` from Haar unitaries; only they
+    build the dense encoder block, and from n = _POOL_RESTART_DIM they spread
+    over every lane of the worker pool (leakage_scan runs its cells in
+    order, never on a lane).  The winner is the lowest f, ties to the
+    earliest restart, so the thread count never changes the result.
+    best_gain is log2 n minus the winner's f as the search evaluated it;
+    best_params are the winner's Hermitian parameters (see
+    params_from_unitary).
     """
     n, k = family.n, family.k
-    if config.restarts < 1:
-        raise ValueError("the leakage search needs restarts >= 1")
+    _check_search(k, family.m, config.restarts)
     best = [np.inf, 0, None]  # f, restart, basis or Haar U of the lowest f, ties to the earliest restart
     for idx in range(min(config.restarts, 2 * k)):
         basis = honest_basis(family, idx) if idx < k else invert_basis(family, idx - k)
@@ -366,6 +369,17 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     )
 
 
+def _check_search(k: int, m: int, restarts: int) -> None:
+    """ValueError unless 1 <= restarts <= MAX_RESTARTS and no Haar restart would run above MAX_SEARCH_DIM."""
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"the leakage search needs restarts >= 1 and <= {MAX_RESTARTS}, got {restarts}")
+    if restarts > 2 * k and 1 << (k * m) > MAX_SEARCH_DIM:
+        raise ValueError(
+            f"cell (k={k}, m={m}) has n = {1 << (k * m)} > {MAX_SEARCH_DIM}, too large for a Haar"
+            f" restart; use --restarts <= {2 * k}"
+        )
+
+
 def scan_cells(k_values, m_values) -> list:
     """Grid cells with an unbiased family (k <= 2^m + 1); ValueError if one is off the cap or none."""
     cells = []
@@ -388,9 +402,12 @@ def leakage_scan(k_values, m_values, config: OptimizerConfig, rng: SeededRng):
     gain ~ c * k^alpha * m next to the 0.4 * k^0.7 * m rule of thumb this
     scan is compared against.
     """
+    cells = scan_cells(k_values, m_values)
+    for k, m in cells:  # every cell is checked before the first one runs
+        _check_search(k, m, config.restarts)
     results = [
         max_leakage(build_family(mub_family(k, m)), config, rng.derive(idx))
-        for idx, (k, m) in enumerate(scan_cells(k_values, m_values))
+        for idx, (k, m) in enumerate(cells)
     ]
     return results, fit_power_law(results)
 
@@ -515,8 +532,8 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
 
 def povm_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -> BoundReport:
     """Random POVMs (random rank, N <= 2n) against the k=2 entropy-sum bound."""
-    if trials < 1:
-        raise ValueError("an audit needs trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
     n = family.n
     min_slack = np.inf
     violations = 0

@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, hardening, protocol, qmath
 from .analysis import OptimizerConfig
 from .encodings import (
+    MAX_KM,
     MAX_SHARE_ROUNDS,
     build_family,
     check_desk_cell,
@@ -44,8 +45,8 @@ VERIFY_SUITES = ("entropic", "povm", "concentration", "hk", "honest", "all")
 _POVM_MAX_M = 4
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A refusal of the CLI's own; main reports it like any library ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +68,7 @@ def _parser() -> _Parser:
 
     demo = sub.add_parser("demo", help="two-item single-bit walkthrough")
     demo.add_argument("--db", default="0", help="database value as hex, item 0 most significant")
-    demo.add_argument("--choice", type=int, default=0, help="which item to learn (0 or 1)")
+    demo.add_argument("--choice", type=int, default=0, choices=(0, 1), help="which item to learn")
     demo.add_argument("--seed", type=int, required=True)
 
     sess = sub.add_parser("session", help="run one protocol session, write a JSON transcript")
@@ -118,16 +119,14 @@ def _parse_db(text: str, k: int, m: int) -> int:
 
 
 def _parse_range(text: str) -> list:
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise UsageError(f"bad range {text!r}; expected like 2..4")
+    if not 1 <= lo <= hi <= MAX_KM:  # no desk cell lies outside, and the list stays short
+        raise UsageError(f"bad range {text!r}; need 1 <= lo <= hi <= {MAX_KM}")
+    return list(range(lo, hi + 1))
 
 
 def _make_family(args, rng: SeededRng):
@@ -140,28 +139,19 @@ def _make_family(args, rng: SeededRng):
         if k != 2:
             raise UsageError("--family walsh requires --k 2")
         return walsh_family(m)
-    try:
-        if kind == "mub":
-            return build_family(mub_family(k, m))
-        if kind == "cyclic":
-            return build_family(cyclic_family(k, m))
-        if kind == "random":
-            return build_family(random_family(k, m, rng))
-        if kind == "tensorized":
-            return build_family(tensorized_family(k, m, args.tensor_r, rng))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"unknown family {kind!r}")
+    if kind == "mub":
+        return build_family(mub_family(k, m))
+    if kind == "cyclic":
+        return build_family(cyclic_family(k, m))
+    if kind == "random":
+        return build_family(random_family(k, m, rng))
+    return build_family(tensorized_family(k, m, args.tensor_r, rng))
 
 
 def _strategy(args, family):
     if args.strategy == "honest":
-        if not 0 <= args.choice < family.k:
-            raise UsageError(f"--choice {args.choice} out of range for k={family.k}")
         return honest_basis(family, args.choice)
     if args.strategy == "invert":
-        if not 0 <= args.guess < family.k:
-            raise UsageError(f"--guess {args.guess} out of range for k={family.k}")
         return invert_basis(family, args.guess)
     if family.k != 2 or family.m != 1:
         raise UsageError("--strategy parity requires k=2, m=1")
@@ -193,8 +183,6 @@ def _amplitude(z: complex) -> str:
 
 def cmd_demo(args) -> int:
     db_value = _parse_db(args.db, 2, 1)
-    if args.choice not in (0, 1):
-        raise UsageError(f"--choice must be 0 or 1, got {args.choice}")
     family = explicit_single_bit_family()
     db = DatabaseState.from_index(db_value, 2, 1)
     kets = ["|00>", "|01>", "|10>", "|11>"]
@@ -232,10 +220,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_session(args) -> int:
-    try:
-        check_desk_cell(args.k, args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    check_desk_cell(args.k, args.m)
     if not 1 <= args.r <= MAX_SHARE_ROUNDS:
         raise UsageError(f"--r must be in 1..{MAX_SHARE_ROUNDS}, got {args.r}")
     rng = SeededRng(args.seed)
@@ -246,8 +231,6 @@ def cmd_session(args) -> int:
 
     mask = None
     if args.mask:
-        if args.k != 2:
-            raise UsageError("--mask requires --k 2")
         gen = rng.derive(2).gen
         mask = hardening.GfMask(
             args.m, int(gen.integers(1, 1 << args.m)), int(gen.integers(1 << args.m))
@@ -371,10 +354,7 @@ def cmd_verify(args) -> int:
             f"--suite povm needs 1 <= m <= {_POVM_MAX_M} (4^m <= 256), got --m {args.m}"
         )
     if "hk" in suites:
-        try:
-            analysis.scan_cells([args.k], [args.m])
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        analysis.scan_cells([args.k], [args.m])
     rng = SeededRng(args.seed)
     reports = []
     for idx, suite in enumerate(suites):
@@ -390,10 +370,6 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     k_values = _parse_range(args.k)
     m_values = _parse_range(args.m)
-    try:
-        analysis.scan_cells(k_values, m_values)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     config = OptimizerConfig(restarts=args.restarts, iterations=args.iters)
     results, fit = analysis.leakage_scan(k_values, m_values, config, SeededRng(args.seed))
     return _write_output(analysis.scan_csv(results, fit), args.out)
@@ -402,16 +378,9 @@ def cmd_scan(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "demo":
-            return cmd_demo(args)
-        if args.command == "session":
-            return cmd_session(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        commands = {"demo": cmd_demo, "session": cmd_session, "verify": cmd_verify, "scan": cmd_scan}
+        return commands[args.command](args)
+    except ValueError as exc:  # every refusal: the parser's, the CLI's own and the library's input checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BoundViolation as exc:

@@ -42,6 +42,19 @@ MAX_DENSE_DIM = 1 << MAX_KM
 # costs about 0.3 MB (the floats, their dict copy and their JSON text), so
 # `session --r 256` peaks near 115 MB.
 MAX_SHARE_ROUNDS = 256
+# A sampled audit lists its chunks before the first one runs, and the POVM
+# audit runs its trials serially; 10^6 is ten times the largest default
+# (entropic's 100,000), so neither the list nor the loop outgrows the desk.
+MAX_TRIALS = 10**6
+# The leakage search lists its restarts before they run; 1024 is 32 times the
+# default, where 10^21 overflowed that list and 3 * 10^9 exhausted memory.
+MAX_RESTARTS = 1024
+# Largest n at which a Haar restart runs.  A restart holds n x kn arrays on
+# its lane: one lane's first descent step, on one thread, peaked at 132 MB at
+# n = 512 (k=3, m=3), 299 MB at n = 1024 (2,5), 601 MB at n = 1024 (5,2) and
+# 5.2 GB at n = 4096 (4,3).  At the cap two lanes stay near 0.26 GB; above
+# it a search may take only its 2k structured starts.
+MAX_SEARCH_DIM = 512
 
 
 def check_desk_cell(k: int, m: int) -> None:

@@ -81,8 +81,6 @@ class XorShares:
 
 def xor_split(d0: int, d1: int, r: int, m: int, rng: SeededRng) -> XorShares:
     """Split (d0, d1) into r share pairs: r-1 uniform pairs plus a closing pair."""
-    if r < 1:
-        raise ValueError("share splitting needs r >= 1")
     limit = 1 << m
     if not (0 <= d0 < limit and 0 <= d1 < limit):
         raise ValueError("item value out of range")

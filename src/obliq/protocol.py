@@ -171,8 +171,6 @@ def vendor_encode(db: DatabaseState, family: EncodingFamily, i: int) -> np.ndarr
     """The transmitted state: column `db.config_index` of E_i."""
     if db.k != family.k or db.m != family.m:
         raise ValueError("database shape does not match the family")
-    if not 0 <= i < family.k:
-        raise ValueError(f"encoding index {i} out of range")
     return family.encode_column(i, db.config_index)
 
 

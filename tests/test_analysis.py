@@ -32,7 +32,15 @@ from obliq.analysis import (
     scan_csv,
     verify_theorem1,
 )
-from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_matrix
+from obliq.encodings import (
+    MAX_RESTARTS,
+    MAX_TRIALS,
+    EncodingFamily,
+    build_family,
+    explicit_single_bit_family,
+    mub_family,
+    walsh_matrix,
+)
 from obliq.protocol import honest_basis, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
@@ -304,6 +312,25 @@ class TestMaxLeakage:
         with pytest.raises(ValueError, match="restarts"):
             max_leakage(explicit_single_bit_family(), OptimizerConfig(restarts=0), SeededRng(1))
 
+    @pytest.mark.parametrize(
+        "k, m, restarts, match",
+        [(2, 1, MAX_RESTARTS + 1, f"<= {MAX_RESTARTS}"), (2, 5, 5, "--restarts <= 4")],
+        ids=["restart-cap", "search-dim-cap"],
+    )
+    def test_refused_before_any_work(self, k, m, restarts, match, monkeypatch):
+        # the second case asks for a Haar restart at n = 1024, above MAX_SEARCH_DIM
+        log = []
+        for name in ("slot_entropy", "_stacked_encoders", "_parallel_map"):
+            _record_calls(monkeypatch, name, log)
+        with pytest.raises(ValueError, match=match):
+            max_leakage(build_family(mub_family(k, m)), OptimizerConfig(restarts, 2), SeededRng(1))
+        assert log == []
+
+    def test_search_caps_boundary(self):
+        analysis._check_search(2, 1, MAX_RESTARTS)
+        analysis._check_search(3, 3, 7)  # a Haar restart at n = 512, the cap
+        analysis._check_search(2, 5, 4)  # n = 1024 with the 2k structured starts only
+
     def test_bound_violation_is_typed(self):
         with pytest.raises(BoundViolation) as info:
             LeakageResult(2, 1, "mub", 1.5, 1.0, 1, 1, 0, np.zeros(16))
@@ -387,6 +414,13 @@ class TestLeakageScan:
         for r in results:
             assert r.best_gain <= r.bound + 1e-6
         assert results[0].best_gain == pytest.approx(1.0, abs=1e-3)
+
+    def test_every_cell_is_checked_before_the_first_runs(self, monkeypatch):
+        ran = []
+        _record_calls(monkeypatch, "max_leakage", ran)
+        with pytest.raises(ValueError, match=r"cell \(k=2, m=5\)"):
+            leakage_scan([2], [1, 5], OptimizerConfig(restarts=5, iterations=2), SeededRng(1))
+        assert ran == []
 
     def test_infeasible_cells_skipped(self):
         cfg = OptimizerConfig(restarts=2, iterations=60)
@@ -556,6 +590,24 @@ class TestAuditChunks:
     def test_no_trials_is_refused(self, audit, trials):
         with pytest.raises(ValueError, match="trials >= 1"):
             audit(trials)
+
+    @pytest.mark.parametrize(
+        "audit, work",
+        [
+            (lambda t: verify_theorem1(4, t, SeededRng(1)), "_parallel_map"),
+            (lambda t: povm_gain_audit(explicit_single_bit_family(), t, SeededRng(1)), "random_povm"),
+        ],
+        ids=["entropic", "povm"],
+    )
+    def test_trials_above_the_cap_are_refused_before_any_work(self, audit, work, monkeypatch):
+        log = []
+        _record_calls(monkeypatch, work, log)
+        with pytest.raises(ValueError, match=f"<= {MAX_TRIALS}"):
+            audit(MAX_TRIALS + 1)
+        assert log == []
+
+    def test_chunk_map_takes_the_cap(self):
+        assert sum(_chunk_map(lambda count, sub: count, MAX_TRIALS, 2048, SeededRng(1))) == MAX_TRIALS
 
     def test_chunk_size_rule(self):
         assert [_chunk_trials(e) for e in (4, 64, 256, 4096, 65536, 1 << 20)] == [2048, 2048, 1024, 64, 4, 1]

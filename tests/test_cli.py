@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import obliq
 from obliq import analysis
-from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
-from obliq.encodings import MAX_SHARE_ROUNDS
+from obliq.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, UsageError, _parse_range, main
+from obliq.encodings import MAX_KM, MAX_SHARE_ROUNDS
 
 
 def run(argv, capsys):
@@ -355,6 +355,10 @@ class TestMalformed:
             ["verify", "--suite", "povm", "--m", "9", "--seed", "5"],
             ["verify", "--suite", "all", "--k", "5", "--seed", "5"],
             ["verify", "--suite", "all", "--m", "5", "--seed", "5"],
+            ["session", "--db", "0", "--choice", "7", "--seed", "5"],
+            ["session", "--db", "0", "--strategy", "invert", "--guess", "9", "--seed", "5"],
+            ["session", "--k", "3", "--family", "mub", "--db", "0", "--mask", "--seed", "5"],
+            ["demo", "--choice", "2", "--seed", "5"],
         ],
     )
     def test_one_line_usage_error(self, argv, capsys):
@@ -364,9 +368,49 @@ class TestMalformed:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--k", "2..99999999999", "--m", "1"],
+            ["verify", "--suite", "entropic", "--trials", "1000000000000"],
+            ["verify", "--suite", "povm", "--trials", "1000000000000"],
+            ["scan", "--k", "3", "--m", "2", "--restarts", "1000000000000000000000"],
+            ["scan", "--k", "3", "--m", "2", "--restarts", "3000000000"],
+            ["scan", "--k", "4", "--m", "3"],
+        ],
+    )
+    def test_oversized_counts_refused_under_a_1gb_address_space(self, argv):
+        # a child with 1 GB of address space: a refusal that regresses into an
+        # allocation fails here instead of exhausting the machine's memory
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from obliq.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(obliq.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv, "--seed", "1"], env=env, capture_output=True, timeout=20
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error")
+
     @pytest.mark.parametrize("flags", [["--k", "5"], ["--m", "5"]])
     def test_verify_all_checks_arguments_before_any_suite_runs(self, flags, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(analysis, "verify_theorem1", lambda *args: ran.append(args))
         code, out, _ = run(["verify", "--suite", "all", *flags, "--seed", "5"], capsys)
         assert (code, out, ran) == (EXIT_USAGE, "", [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.one_of(st.integers(-2, MAX_KM + 2), st.integers()),
+    hi=st.one_of(st.integers(-2, MAX_KM + 2), st.integers()),
+)
+def test_parse_range_takes_desk_endpoints_only(lo, hi):
+    for text, (a, b) in ((f"{lo}..{hi}", (lo, hi)), (str(lo), (lo, lo))):
+        if 1 <= a <= b <= MAX_KM:
+            assert _parse_range(text) == list(range(a, b + 1))
+        else:
+            with pytest.raises(UsageError, match="bad range"):
+                _parse_range(text)
