@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -47,10 +48,14 @@ def _chunk_trials(entries_per_trial: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_ENTRIES // entries_per_trial))
 
 
-def _chunk_map(fn, trials: int, per: int, stream: SeededRng) -> list:
-    """[fn(count, stream.derive(c)) for chunk c of `per` trials] on the pool; no bit depends on the lanes."""
+def _check_trials(trials: int) -> None:
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
+
+
+def _chunk_map(fn, trials: int, per: int, stream: SeededRng) -> list:
+    """[fn(count, stream.derive(c)) for chunk c of `per` trials] on the pool; no bit depends on the lanes."""
+    _check_trials(trials)
     chunks = [(c, min(per, trials - lo)) for c, lo in enumerate(range(0, trials, per))]
     return _parallel_map(lambda chunk: fn(chunk[1], stream.derive(chunk[0])), chunks)
 
@@ -141,15 +146,20 @@ def explore_condition_2prime(encoders, trials: int, rng: SeededRng) -> BoundRepo
     For k = 2 with an unbiased pair the (k-1) log n threshold is proven and
     gated; for k > 2 the run is exploratory only and reports the gap to both
     the (k-1) log n and the (k/2) log n thresholds without pass/fail.
+    An encoder is a tuple of Kronecker factors or a dense matrix, a one-factor
+    chain; no chain is built before `trials` is checked.
     """
-    mats = [qmath.as_operator(c) for c in encoders]
-    k = len(mats)
+    _check_trials(trials)
+    chains = [tuple(map(qmath.as_operator, c if isinstance(c, tuple) else (c,))) for c in encoders]
+    k = len(chains)
     if k < 2:
         raise ValueError("need at least two encoders")
-    n = mats[0].shape[0]
+    n = math.prod(len(f) for f in chains[0])
     log_n = float(np.log2(n))
-    # an identity encoder is scored from u itself: the bits of u @ I, without the product
-    transposed = [None if np.array_equal(c, np.eye(n)) else c.T for c in mats]
+    # a chain of identities is scored from u itself: the bits of u @ I, without the product
+    transposed = [
+        None if all(np.array_equal(f, np.eye(len(f))) for f in c) else qmath.kron_chain(c).T for c in chains
+    ]
 
     def chunk(count, sub):
         u = qmath.random_states(n, count, sub)
@@ -532,8 +542,7 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
 
 def povm_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -> BoundReport:
     """Random POVMs (random rank, N <= 2n) against the k=2 entropy-sum bound."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
+    _check_trials(trials)
     n = family.n
     min_slack = np.inf
     violations = 0

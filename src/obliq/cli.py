@@ -16,11 +16,12 @@ import sys
 
 import numpy as np
 
-from . import analysis, hardening, protocol, qmath
+from . import analysis, hardening, protocol
 from .analysis import OptimizerConfig
 from .encodings import (
     MAX_KM,
     MAX_SHARE_ROUNDS,
+    W2,
     build_family,
     check_desk_cell,
     cyclic_family,
@@ -29,7 +30,6 @@ from .encodings import (
     random_family,
     tensorized_family,
     walsh_family,
-    walsh_matrix,
 )
 from .protocol import DatabaseState, honest_basis, invert_basis, outcome_probs, parity_basis, run_session
 from .qmath import BoundViolation, SeededRng
@@ -285,11 +285,11 @@ def _verify_one(suite: str, args, rng: SeededRng):
     elif suite == "hk":
         trials = args.trials or 20_000
         if args.k == 2:
-            # the proven pair: the identity and a flat unitary on the joint space
-            encs = [np.eye(1 << (2 * args.m)), walsh_matrix(2 * args.m)]
+            # the proven pair: the identity and a flat unitary on the joint space, as qubit chains
+            encs = [(np.eye(2),) * (2 * args.m), (W2,) * (2 * args.m)]
         else:
             family = build_family(mub_family(args.k, args.m))
-            encs = [qmath.kron_chain(family.factors(i)) for i in range(family.k)]
+            encs = [family.factors(i) for i in range(family.k)]
         reports.append(analysis.explore_condition_2prime(encs, trials, rng.derive(0)))
     else:  # honest
         reports.append(_honest_suite(rng))

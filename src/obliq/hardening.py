@@ -179,18 +179,15 @@ def masked_session(
     return protocol.run_session(db, family, strategy, rng, mask=mask)
 
 
-def bit_targeting_audit(
-    m: int, trials: int, rng: SeededRng, target_bit: int = 0, threshold: float = 0.9
-) -> dict:
+def bit_targeting_audit(m: int, trials: int, rng: SeededRng, threshold: float = 0.9) -> dict:
     """Audit: learning one fixed bit of a masked item barely pins any raw bit.
 
-    Simulates an adversary that learns bit `target_bit` of a*d+b exactly and
+    Simulates an adversary that learns bit 0 of a*d+b exactly and
     nothing else, over uniformly random masks; reports the mean posterior
     entropy of each single bit of d and compares the worst one against the
     (configurable) threshold.
     """
-    if not 0 <= target_bit < m:
-        raise ValueError("target bit out of range")
+    modulus = gf2.irreducible_poly(m)  # refuses m outside 1..MAX_DEGREE
     if trials < 1:
         raise ValueError("an audit needs trials >= 1")
     gen = rng.gen
@@ -200,9 +197,7 @@ def bit_targeting_audit(
     for _ in range(trials):
         a = int(gen.integers(1, limit))
         b = int(gen.integers(limit))
-        mask = GfMask(m, a, b)
-        masked = np.asarray(gf2.mul(a, values, m, mask.modulus)) ^ b
-        observed_bit = (masked >> target_bit) & 1
+        observed_bit = (np.asarray(gf2.mul(a, values, m, modulus)) ^ b) & 1
         true_d = int(gen.integers(limit))
         support = values[observed_bit == observed_bit[true_d]]
         p1 = ((support[:, None] >> np.arange(m)) & 1).mean(axis=0)
@@ -211,7 +206,7 @@ def bit_targeting_audit(
     return {
         "m": m,
         "trials": trials,
-        "target_bit": target_bit,
+        "target_bit": 0,
         "mean_bit_entropy": bit_entropy.tolist(),
         "min_bit_entropy": float(bit_entropy.min()),
         "threshold": threshold,

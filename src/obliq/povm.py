@@ -39,7 +39,7 @@ class Povm:
         return len(self.operators)
 
 
-def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> Povm:
+def validate_povm(p: Povm) -> Povm:
     """Certify completeness and nonnegativity, or raise ValueError."""
     grams = p.operators.conj().transpose(0, 2, 1) @ p.operators
     min_eigs = np.linalg.eigvalsh((grams + grams.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
@@ -47,7 +47,7 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> Povm:
     if bad.size:
         raise ValueError(f"operator {bad[0]} is not positive semidefinite (min eig {float(min_eigs[bad[0]])})")
     err = np.abs(grams.sum(axis=0) - np.eye(p.dim)).max()
-    if err > tol:
+    if err > DEFAULT_TOL:
         raise ValueError(f"completeness violated: max deviation {err}")
     return p
 

@@ -90,14 +90,14 @@ def as_operator(mat) -> np.ndarray:
     return m
 
 
-def as_state(u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coerce to a unit complex vector (L2 norm 1 within `tol`)."""
+def as_state(u) -> np.ndarray:
+    """Coerce to a unit complex vector (L2 norm 1 within DEFAULT_TOL)."""
     v = np.asarray(u, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond {tol}")
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {DEFAULT_TOL}")
     return v
 
 
@@ -244,48 +244,27 @@ def worker_count() -> int:
     return 1
 
 
-_LANE = threading.local()  # .busy is set while this thread runs a parallel_map lane
+_LANE = threading.local()  # .busy is set once on every pool thread, so calls from items run inline
 
 
 @functools.cache
 def _executor(size: int) -> ThreadPoolExecutor:
-    """The process-wide pool threads for `size` + 1 lanes; the caller is the extra lane."""
-    return ThreadPoolExecutor(max_workers=size, thread_name_prefix="obliq")
+    """The process-wide pool of `size` threads, each marked busy as it starts."""
+    return ThreadPoolExecutor(size, "obliq", initializer=setattr, initargs=(_LANE, "busy", True))
 
 
 def parallel_map(fn, items) -> list:
     """[fn(x) for x in items] on up to worker_count() threads, results in item order.
 
-    The calling thread runs one lane and the cached executor the others.  A
-    call from inside a lane runs inline on that lane, so pools never nest.
-    Items are handed out one at a time, so uneven items balance.
+    Every item goes to the cached executor, which hands them out one at a
+    time, so uneven items balance.  A call from a pool thread runs inline,
+    so pools never nest.  Every item has finished before this returns or
+    raises; the first error in item order reaches the caller.
     """
     items = list(items)
     workers = worker_count()
-    lanes = min(workers, len(items))
-    if lanes <= 1 or getattr(_LANE, "busy", False):
+    if min(workers, len(items)) <= 1 or getattr(_LANE, "busy", False):
         return [fn(x) for x in items]
-    results = [None] * len(items)
-    todo = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def lane():
-        _LANE.busy = True
-        try:
-            while True:
-                with lock:
-                    idx = next(todo, None)
-                if idx is None:
-                    return
-                results[idx] = fn(items[idx])
-        finally:
-            _LANE.busy = False
-
-    futures = [_executor(workers - 1).submit(lane) for _ in range(lanes - 1)]
-    try:
-        lane()
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-    return results
+    futures = [_executor(workers).submit(fn, x) for x in items]
+    wait(futures)
+    return [f.result() for f in futures]

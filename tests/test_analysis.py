@@ -35,6 +35,7 @@ from obliq.analysis import (
 from obliq.encodings import (
     MAX_RESTARTS,
     MAX_TRIALS,
+    W2,
     EncodingFamily,
     build_family,
     explicit_single_bit_family,
@@ -92,6 +93,25 @@ class TestCondition2Prime:
         rep = explore_condition_2prime([np.eye(n), walsh_matrix(2)], 3000, SeededRng(4))
         assert rep.violations == 0
         assert rep.parameters["min_sum_bits"] >= np.log2(n) - 1e-9
+
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (2, 2)])
+    def test_a_chain_scores_as_its_dense_product(self, k, m):
+        fam = build_family(mub_family(k, m))
+        chains = [fam.factors(i) for i in range(k)]
+        dense = [kron_chain(c) for c in chains]
+        rep = explore_condition_2prime(chains, 3000, SeededRng(7)).to_json()
+        assert rep == explore_condition_2prime(dense, 3000, SeededRng(7)).to_json()
+
+    @pytest.mark.parametrize(
+        "chains",
+        [[(np.eye(2),) * 4, (W2,) * 4], [(np.eye(2), np.eye(4)), (W2, walsh_matrix(2))]],
+        ids=["qubits", "ragged"],
+    )
+    def test_an_identity_chain_scores_as_the_identity(self, chains):
+        dense = [kron_chain(c) for c in chains]
+        assert np.array_equal(dense[0], np.eye(len(dense[0])))
+        rep = explore_condition_2prime(chains, 3000, SeededRng(8)).to_json()
+        assert rep == explore_condition_2prime(dense, 3000, SeededRng(8)).to_json()
 
     def test_basis_vector_term_vanishes(self):
         # with C_0 = I a basis-vector input contributes zero to that term
@@ -605,6 +625,13 @@ class TestAuditChunks:
         with pytest.raises(ValueError, match=f"<= {MAX_TRIALS}"):
             audit(MAX_TRIALS + 1)
         assert log == []
+
+    def test_hk_builds_no_chain_before_the_trials_check(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(qmath, "kron_chain", built.append)
+        with pytest.raises(ValueError, match=f"<= {MAX_TRIALS}"):
+            explore_condition_2prime([(W2,) * 2, (W2,) * 2], MAX_TRIALS + 1, SeededRng(1))
+        assert built == []
 
     def test_chunk_map_takes_the_cap(self):
         assert sum(_chunk_map(lambda count, sub: count, MAX_TRIALS, 2048, SeededRng(1))) == MAX_TRIALS

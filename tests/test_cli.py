@@ -377,6 +377,7 @@ class TestMalformed:
             ["scan", "--k", "3", "--m", "2", "--restarts", "1000000000000000000000"],
             ["scan", "--k", "3", "--m", "2", "--restarts", "3000000000"],
             ["scan", "--k", "4", "--m", "3"],
+            ["verify", "--suite", "hk", "--k", "4", "--m", "3", "--trials", "1000000000000"],
         ],
     )
     def test_oversized_counts_refused_under_a_1gb_address_space(self, argv):

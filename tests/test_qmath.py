@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +314,7 @@ class TestWorkerPool:
             return threading.get_ident(), inner
 
         results = parallel_map(outer, range(6))
-        assert len({own for own, _ in results}) == 2  # the caller and one pool thread
+        assert len({own for own, _ in results}) == 2  # two pool threads
         for own, inner in results:
             assert inner == [own] * 4
 
@@ -356,7 +357,21 @@ class TestWorkerPool:
             return threading.get_ident()
 
         idents = set(parallel_map(lane_ident, range(6)))
-        assert len(idents) == 3 and threading.get_ident() in idents  # the caller is one of the lanes
+        assert len(idents) == 3 and threading.get_ident() not in idents  # the caller runs no item
+
+    def test_an_error_is_raised_only_after_every_other_item_finished(self, monkeypatch):
+        monkeypatch.setenv("OBLIQ_THREADS", "2")
+        finished = []
+
+        def fail_on_zero(x):
+            if x == 0:
+                raise ValueError("item 0")
+            time.sleep(0.01)  # still running, or not yet started, when item 0 fails
+            finished.append(x)
+
+        with pytest.raises(ValueError, match="item 0"):
+            parallel_map(fail_on_zero, range(6))
+        assert sorted(finished) == [1, 2, 3, 4, 5]
 
 
 def probe(code: str, **env) -> list:
