@@ -16,6 +16,7 @@ of the audit agree there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from .encodings import (
     random_family, walsh_matrix,
 )
 from .povm import povm_entropy_bound_check, random_povm
-from .protocol import honest_basis, honest_leakage, invert_basis, outcome_probs, slot_entropy
+from .protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs, slot_entropy
 from .qmath import BoundViolation, SeededRng
 
 _CHUNK = 2048  # most trials in one audit chunk
@@ -207,12 +208,19 @@ class LeakageResult:
     restarts: int
     iterations: int
     seed: int
-    best_params: np.ndarray = field(repr=False)
+    # the winning restart as found: a structured basis, factors kept, or a Haar start's unitary
+    winner: MeasurementBasis | np.ndarray = field(repr=False, compare=False)
     best_restart: int = 0
 
     def __post_init__(self):
         if self.best_gain > self.bound + 1e-6:
             raise BoundViolation(f"gain {self.best_gain} exceeds the proven bound {self.bound}")
+
+    @functools.cached_property
+    def best_params(self) -> np.ndarray:
+        """The winner's Hermitian parameters (params_from_unitary), formed on first read."""
+        w = self.winner
+        return params_from_unitary(w.matrix if isinstance(w, MeasurementBasis) else w)
 
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -334,8 +342,7 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     order, never on a lane).  The winner is the lowest f, ties to the
     earliest restart, so the thread count never changes the result.
     best_gain is log2 n minus the winner's f as the search evaluated it;
-    best_params are the winner's Hermitian parameters (see
-    params_from_unitary).
+    the result holds the winner as found and forms no dense matrix of it.
     """
     n, k = family.n, family.k
     _check_search(k, family.m, config.restarts)
@@ -362,9 +369,7 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
         else:
             for idx in haar:
                 run(idx)
-    best_f, best_idx, best_u = best
-    if best_idx < 2 * k:
-        best_u = best_u.matrix
+    best_f, best_idx, winner = best
     return LeakageResult(
         k=k,
         m=family.m,
@@ -374,7 +379,7 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
         restarts=config.restarts,
         iterations=config.iterations,
         seed=rng.seed,
-        best_params=params_from_unitary(best_u),
+        winner=winner,
         best_restart=best_idx,
     )
 

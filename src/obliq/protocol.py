@@ -291,18 +291,20 @@ def slot_entropy(family: EncodingFamily, items) -> float:
     Each row of |M E_i|^2 is a product of slot rows, so the mean entropy is
     f = (1/k) sum_i sum_r mean_rows H(|A_{items[r]}^dag A_{(i+r) mod k}|^2).
     A matched slot, items[r] = (i+r) mod k, is the identity and adds exactly
-    0; every other slot is computed, whatever the family claims.
+    0; every other slot is computed, whatever the family claims, once per
+    distinct pair (items[r], q) and added in (i, r) order.
     """
     k = family.k
     mats = family.basis.matrices
+    slot = {}
     total = 0.0
     for i in range(k):
         for r in range(k):
-            q = (i + r) % k
-            if items[r] == q:
-                continue
-            cross = np.abs(mats[items[r]].conj().T @ mats[q]) ** 2
-            total += float(qmath.entropy_rows(cross).mean())
+            a, q = items[r], (i + r) % k
+            if a != q:
+                if (a, q) not in slot:
+                    slot[a, q] = float(qmath.entropy_rows(np.abs(mats[a].conj().T @ mats[q]) ** 2).mean())
+                total += slot[a, q]
     return total / k
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ks_2samp
 
-from obliq import analysis, qmath
+from obliq import analysis, cli, qmath
 from obliq.analysis import (
     LeakageResult,
     OptimizerConfig,
@@ -42,7 +42,7 @@ from obliq.encodings import (
     mub_family,
     walsh_matrix,
 )
-from obliq.protocol import honest_basis, invert_basis, outcome_probs
+from obliq.protocol import MeasurementBasis, honest_basis, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
     SeededRng,
@@ -324,6 +324,33 @@ class TestMaxLeakage:
         assert (res.best_gain, res.best_restart) == (gain, restart)
         assert hashlib.sha256(res.best_params.tobytes()).hexdigest() == digest
 
+    def test_search_forms_no_parameters_and_no_dense_winner(self, monkeypatch, tmp_path):
+        # the README scan and a structured-only search at n = 256 keep the
+        # winner as found: no Schur decomposition and no dense basis matrix
+        log = []
+        _record_calls(monkeypatch, "params_from_unitary", log)
+        matrix = MeasurementBasis.matrix.fget
+        monkeypatch.setattr(MeasurementBasis, "matrix", property(lambda b: log.append("matrix") or matrix(b)))
+        argv = ["scan", "--k", "2..3", "--m", "1..2", "--seed", "9", "--out", str(tmp_path / "scan.csv")]
+        assert cli.main(argv) == 0
+        res = max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(8, 2), SeededRng(0))
+        assert isinstance(res.winner, MeasurementBasis) and len(res.winner.factors) == 4
+        assert log == []
+        first = res.best_params
+        assert res.best_params is first  # the second read is the first array
+        assert log == ["matrix", "params_from_unitary"]
+
+    @pytest.mark.parametrize(
+        "k, m, restarts, iterations, winner_type",
+        [(4, 2, 2, 2, MeasurementBasis), (3, 1, 8, 60, np.ndarray)],
+        ids=["mub42-structured-winner", "mub31-haar-winner"],
+    )
+    def test_best_params_are_the_winners_parameters(self, k, m, restarts, iterations, winner_type):
+        res = max_leakage(build_family(mub_family(k, m)), OptimizerConfig(restarts, iterations), SeededRng(0))
+        assert type(res.winner) is winner_type
+        dense = res.winner.matrix if winner_type is MeasurementBasis else res.winner
+        np.testing.assert_array_equal(res.best_params, params_from_unitary(dense))
+
     def test_default_config_reaches_four_thirds_at_k3(self):
         res = max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(), SeededRng(802))
         assert 1.3087 <= res.best_gain <= 1.5 + 1e-6
@@ -353,7 +380,7 @@ class TestMaxLeakage:
 
     def test_bound_violation_is_typed(self):
         with pytest.raises(BoundViolation) as info:
-            LeakageResult(2, 1, "mub", 1.5, 1.0, 1, 1, 0, np.zeros(16))
+            LeakageResult(2, 1, "mub", 1.5, 1.0, 1, 1, 0, np.eye(4, dtype=complex))
         assert isinstance(info.value, AssertionError)
 
 

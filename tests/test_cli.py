@@ -381,19 +381,27 @@ class TestMalformed:
         ],
     )
     def test_oversized_counts_refused_under_a_1gb_address_space(self, argv):
-        # a child with 1 GB of address space: a refusal that regresses into an
-        # allocation fails here instead of exhausting the machine's memory
-        child = (
-            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from obliq.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(obliq.__file__).parent.parent)}
-        proc = subprocess.run(
-            [sys.executable, "-c", child, *argv, "--seed", "1"], env=env, capture_output=True, timeout=20
-        )
+        # a refusal that regresses into an allocation fails here instead of
+        # exhausting the machine's memory
+        proc = _run_under_1gb(argv)
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error")
+
+    @pytest.mark.parametrize(
+        "cell, row",
+        [
+            (["--k", "4", "--m", "3", "--restarts", "8"], "4,3,mub,3.000000000,6.000000000,8,2000,1"),
+            (["--k", "3", "--m", "4", "--restarts", "6"], "3,4,mub,4.000000000,6.000000000,6,2000,1"),
+        ],
+        ids=["k4m3", "k3m4"],
+    )
+    def test_structured_only_scan_runs_under_a_1gb_address_space(self, cell, row):
+        # n = 4096, above MAX_SEARCH_DIM: the 2k structured starts run alone and
+        # the winner stays a Kronecker-factored basis, so no 4096^2 matrix is formed
+        proc = _run_under_1gb(["scan", *cell])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[:2] == ["k,m,family,best_gain_bits,bound_bits,restarts,iters,seed", row]
 
     @pytest.mark.parametrize("flags", [["--k", "5"], ["--m", "5"]])
     def test_verify_all_checks_arguments_before_any_suite_runs(self, flags, capsys, monkeypatch):
@@ -401,6 +409,16 @@ class TestMalformed:
         monkeypatch.setattr(analysis, "verify_theorem1", lambda *args: ran.append(args))
         code, out, _ = run(["verify", "--suite", "all", *flags, "--seed", "5"], capsys)
         assert (code, out, ran) == (EXIT_USAGE, "", [])
+
+
+def _run_under_1gb(argv):
+    """`obliq <argv> --seed 1` in a child process with 1 GB of address space and a 20 s timeout."""
+    child = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from obliq.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(obliq.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-c", child, *argv, "--seed", "1"], env=env, capture_output=True, timeout=20)
 
 
 @settings(max_examples=200, deadline=None)
