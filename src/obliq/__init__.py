@@ -19,7 +19,6 @@ from .analysis import (
     max_leakage,
     povm_gain_audit,
     projective_gain_audit,
-    random_family_leakage_trend,
     verify_theorem1,
 )
 from .encodings import (
@@ -48,7 +47,6 @@ from .povm import (
     Povm,
     povm_entropy_bound_check,
     povm_gain_account,
-    povm_posteriors,
     random_povm,
     validate_povm,
 )

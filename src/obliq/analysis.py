@@ -17,7 +17,6 @@ of the audit agree there.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import threading
@@ -27,11 +26,11 @@ import numpy as np
 
 from . import qmath
 from .encodings import (
-    MAX_RESTARTS, MAX_SEARCH_DIM, MAX_TRIALS, EncodingFamily, build_family, check_desk_cell, mub_family,
-    random_family, walsh_matrix,
+    MAX_POVM_M, MAX_RESTARTS, MAX_SEARCH_DIM, EncodingFamily, build_family, check_desk_cell, check_trials,
+    mub_family, walsh_matrix,
 )
-from .povm import povm_entropy_bound_check, random_povm
-from .protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs, slot_entropy
+from .povm import check_entropy_family, povm_entropy_bound_check, random_povm
+from .protocol import MeasurementBasis, honest_basis, invert_basis, outcome_probs, slot_entropy, structured_items
 from .qmath import BoundViolation, SeededRng
 
 _CHUNK = 2048  # most trials in one audit chunk
@@ -49,14 +48,9 @@ def _chunk_trials(entries_per_trial: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_ENTRIES // entries_per_trial))
 
 
-def _check_trials(trials: int) -> None:
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
-
-
 def _chunk_map(fn, trials: int, per: int, stream: SeededRng) -> list:
     """[fn(count, stream.derive(c)) for chunk c of `per` trials] on the pool; no bit depends on the lanes."""
-    _check_trials(trials)
+    check_trials(trials)
     chunks = [(c, min(per, trials - lo)) for c, lo in enumerate(range(0, trials, per))]
     return _parallel_map(lambda chunk: fn(chunk[1], stream.derive(chunk[0])), chunks)
 
@@ -150,7 +144,7 @@ def explore_condition_2prime(encoders, trials: int, rng: SeededRng) -> BoundRepo
     An encoder is a tuple of Kronecker factors or a dense matrix, a one-factor
     chain; no chain is built before `trials` is checked.
     """
-    _check_trials(trials)
+    check_trials(trials)
     chains = [tuple(map(qmath.as_operator, c if isinstance(c, tuple) else (c,))) for c in encoders]
     k = len(chains)
     if k < 2:
@@ -332,26 +326,26 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
     """Maximize the expected gain, log2 n - f(U), over the restarts' measurements.
 
     The first 2k restarts score the honest, then the inverse-encoder, bases
-    exactly per item slot (`slot_entropy`), serially and with no dense
-    evaluation; each basis is built only when its restart runs.  These are
-    strict local optima of f, so a descent from them cannot move, and the
-    result never falls below the honest strategy.  Later restarts, refused
-    above n = MAX_SEARCH_DIM, run `_descend` from Haar unitaries; only they
-    build the dense encoder block, and from n = _POOL_RESTART_DIM they spread
-    over every lane of the worker pool (leakage_scan runs its cells in
-    order, never on a lane).  The winner is the lowest f, ties to the
-    earliest restart, so the thread count never changes the result.
+    exactly per item slot (`slot_entropy`) from their item tuples, serially
+    and with no dense evaluation; only a winner among them is built as a
+    basis.  These are strict local optima of f, so a descent from them
+    cannot move, and the result never falls below the honest strategy.
+    Later restarts, refused above n = MAX_SEARCH_DIM, run `_descend` from
+    Haar unitaries; only they build the dense encoder block, and from
+    n = _POOL_RESTART_DIM they spread over every lane of the worker pool
+    (leakage_scan runs its cells in order, never on a lane).  The winner is
+    the lowest f, ties to the earliest restart, so the thread count never
+    changes the result.
     best_gain is log2 n minus the winner's f as the search evaluated it;
     the result holds the winner as found and forms no dense matrix of it.
     """
     n, k = family.n, family.k
     _check_search(k, family.m, config.restarts)
-    best = [np.inf, 0, None]  # f, restart, basis or Haar U of the lowest f, ties to the earliest restart
+    best = [np.inf, 0, None]  # lowest f, its restart (ties to the earliest) and its Haar U, if any
     for idx in range(min(config.restarts, 2 * k)):
-        basis = honest_basis(family, idx) if idx < k else invert_basis(family, idx - k)
-        f = slot_entropy(family, basis.items)
+        f = slot_entropy(family, structured_items(k, idx))
         if f < best[0]:
-            best[:] = f, idx, basis
+            best[:2] = f, idx
 
     if config.restarts > 2 * k:
         encoders = _stacked_encoders(family)
@@ -370,6 +364,8 @@ def max_leakage(family: EncodingFamily, config: OptimizerConfig, rng: SeededRng)
             for idx in haar:
                 run(idx)
     best_f, best_idx, winner = best
+    if best_idx < 2 * k:  # a structured start won: only its basis is built
+        winner = honest_basis(family, best_idx) if best_idx < k else invert_basis(family, best_idx - k)
     return LeakageResult(
         k=k,
         m=family.m,
@@ -546,9 +542,16 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
 
 
 def povm_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -> BoundReport:
-    """Random POVMs (random rank, N <= 2n) against the k=2 entropy-sum bound."""
-    _check_trials(trials)
+    """Random POVMs (random rank, N <= 2n) against the k=2 entropy-sum bound.
+
+    The trials and the family (k = 2, pairwise unbiased, n <= 4^MAX_POVM_M)
+    are checked before the first draw.
+    """
+    check_trials(trials)
+    check_entropy_family(family)
     n = family.n
+    if n > 4**MAX_POVM_M:
+        raise ValueError(f"the POVM audit runs up to n = {4**MAX_POVM_M}, got n = {n}")
     min_slack = np.inf
     violations = 0
     worst_expected = -np.inf
@@ -574,44 +577,3 @@ def povm_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -> Boun
             "worst_outcome_gain": worst_outcome,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# random-family leakage trend
-
-
-def random_family_leakage_trend(k_values, m_values, seeds: int, rng: SeededRng):
-    """Honest-user leakage of Haar families across a (k, m) grid.
-
-    Each row reports the measured total and per-item leakage, the leakage
-    normalized by the item size, the observed worst pairwise overlap t and
-    the per-item overlap bound m + log2(t^2).  Unbiased-family control rows
-    (leakage exactly 0) are included for every cell where one exists.
-    """
-    rows = []
-
-    def row(fam, seed, overlap, bound):
-        k, m = fam.k, fam.m
-        leak = float(np.mean([honest_leakage(fam, j) for j in range(k)]))
-        rows.append(
-            {
-                "k": k,
-                "m": m,
-                "family": fam.kind,
-                "seed": seed,
-                "leakage_bits": leak,
-                "per_item_bits": leak / (k - 1),
-                "per_item_fraction": leak / ((k - 1) * m),
-                "max_overlap": overlap,
-                "per_item_bound_bits": bound,
-            }
-        )
-
-    for cell, (k, m) in enumerate(itertools.product(k_values, m_values)):
-        if k <= (1 << m) + 1:
-            row(build_family(mub_family(k, m)), None, float(2.0 ** (-m / 2.0)), 0.0)
-        for s in range(seeds):
-            fam = build_family(random_family(k, m, rng.derive(cell * 1000 + s)))
-            t = fam.basis.max_pairwise_overlap
-            row(fam, s, t, float(m + 2.0 * np.log2(t)))
-    return rows

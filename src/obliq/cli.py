@@ -20,6 +20,7 @@ from . import analysis, hardening, protocol
 from .analysis import OptimizerConfig
 from .encodings import (
     MAX_KM,
+    MAX_POVM_M,
     MAX_SHARE_ROUNDS,
     W2,
     build_family,
@@ -40,9 +41,6 @@ EXIT_VIOLATION = 2
 EXIT_IO = 3
 
 VERIFY_SUITES = ("entropic", "povm", "concentration", "hk", "honest", "all")
-# the povm suite audits a k = 2 family of joint dimension 4^m with up to
-# 2 * 4^m random operators per trial; m <= 4 keeps a trial's products desk-sized
-_POVM_MAX_M = 4
 
 
 class UsageError(ValueError):
@@ -349,9 +347,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
     suites = [s for s in VERIFY_SUITES if s != "all"] if args.suite == "all" else [args.suite]
     # every selected suite's arguments are checked before any suite runs
-    if "povm" in suites and not 1 <= args.m <= _POVM_MAX_M:
+    if "povm" in suites and not 1 <= args.m <= MAX_POVM_M:
         raise UsageError(
-            f"--suite povm needs 1 <= m <= {_POVM_MAX_M} (4^m <= 256), got --m {args.m}"
+            f"--suite povm needs 1 <= m <= {MAX_POVM_M} (4^m <= {4**MAX_POVM_M}), got --m {args.m}"
         )
     if "hk" in suites:
         analysis.scan_cells([args.k], [args.m])

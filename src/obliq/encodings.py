@@ -55,12 +55,22 @@ MAX_RESTARTS = 1024
 # 5.2 GB at n = 4096 (4,3).  At the cap two lanes stay near 0.26 GB; above
 # it a search may take only its 2k structured starts.
 MAX_SEARCH_DIM = 512
+# A POVM audit trial holds up to N = 2n operators of a k = 2 family, n = 4^m, in
+# (N, n, n) complex arrays: one is 0.5 GB at m = 4, where a trial peaked at
+# 1.9 GB, and 2.2 TB at m = 6.
+MAX_POVM_M = 4
 
 
 def check_desk_cell(k: int, m: int) -> None:
     """ValueError unless k >= 2, m >= 1 and k*m <= MAX_KM."""
     if k < 2 or m < 1 or k * m > MAX_KM:
         raise ValueError(f"cell (k={k}, m={m}) is off the desk-scale cap k>=2, m>=1, km<={MAX_KM}")
+
+
+def check_trials(trials: int) -> None:
+    """ValueError unless 1 <= trials <= MAX_TRIALS; every Monte Carlo calls it before its first draw."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"an audit needs trials >= 1 and <= {MAX_TRIALS}, got {trials}")
 
 
 class CertificationError(RuntimeError):

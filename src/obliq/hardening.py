@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2, protocol, qmath
-from .encodings import EncodingFamily
+from .encodings import EncodingFamily, check_trials
 from .protocol import DatabaseState, MeasurementBasis, SessionTranscript, invert_basis
 from .qmath import BoundViolation, SeededRng
 
@@ -119,8 +119,7 @@ def xor_guess_attack(
     """
     if family.k != 2 or db.k != 2:
         raise ValueError("the share-splitting attack model is for k=2")
-    if trials < 1:
-        raise ValueError("a Monte Carlo needs trials >= 1")
+    check_trials(trials)
     m = family.m
     bases = [invert_basis(family, g) for g in range(2)]
     # made once per call: a matched round's outcome law depends only on (i, pair), its decode on (i, outcome)
@@ -179,17 +178,16 @@ def masked_session(
     return protocol.run_session(db, family, strategy, rng, mask=mask)
 
 
-def bit_targeting_audit(m: int, trials: int, rng: SeededRng, threshold: float = 0.9) -> dict:
+def bit_targeting_audit(m: int, trials: int, rng: SeededRng) -> dict:
     """Audit: learning one fixed bit of a masked item barely pins any raw bit.
 
     Simulates an adversary that learns bit 0 of a*d+b exactly and
     nothing else, over uniformly random masks; reports the mean posterior
-    entropy of each single bit of d and compares the worst one against the
-    (configurable) threshold.
+    entropy of each single bit of d and passes when the worst one is at
+    least 0.9 bits.
     """
     modulus = gf2.irreducible_poly(m)  # refuses m outside 1..MAX_DEGREE
-    if trials < 1:
-        raise ValueError("an audit needs trials >= 1")
+    check_trials(trials)
     gen = rng.gen
     limit = 1 << m
     values = np.arange(limit)
@@ -209,6 +207,6 @@ def bit_targeting_audit(m: int, trials: int, rng: SeededRng, threshold: float = 
         "target_bit": 0,
         "mean_bit_entropy": bit_entropy.tolist(),
         "min_bit_entropy": float(bit_entropy.min()),
-        "threshold": threshold,
-        "passed": bool(bit_entropy.min() >= threshold),
+        "threshold": 0.9,
+        "passed": bool(bit_entropy.min() >= 0.9),
     }

@@ -1,9 +1,9 @@
-"""Generalized (POVM) measurements: validation, random draws, posteriors, audits.
+"""Generalized (POVM) measurements: validation, random draws, the gain account, audits.
 
-The audit machinery checks numerically that generalized measurements obey
-the same entropic bound as projective ones on pairwise-unbiased encoding
-families, via the normalized-operator posterior and an eigen-mixture
-decomposition.
+The gain account forms the normalized-operator posteriors of every outcome
+and encoding and returns them with their entropies and gains.  The audit
+machinery checks numerically that generalized measurements obey the same
+entropic bound as projective ones on pairwise-unbiased encoding families.
 """
 
 from __future__ import annotations
@@ -52,52 +52,47 @@ def validate_povm(p: Povm) -> Povm:
     return p
 
 
-def _posteriors(p: Povm, family: EncodingFamily) -> tuple:
-    """(povm_posteriors, s_j^2 for every operator j) from k products S @ E_i."""
+def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
+    """Entropy/gain accounting of a POVM against every encoding choice.
+
+    "posteriors"[j, i] is P(d | outcome j, announced i) under the uniform
+    prior, from the trace-normalized operators S_j = R_j / s_j with
+    s_j^2 = Tr(R_j^dag R_j), one product S @ E_i per encoding for the whole
+    stack.  Unitary invariance makes every |S_j E_i|^2 sum to 1; a deviation
+    beyond 1e-12 s_j^2 means the normalizer depends on the encoding choice.
+    Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
+    """
+    n = family.n
     s2 = np.trace(p.operators.conj().transpose(0, 2, 1) @ p.operators, axis1=1, axis2=2).real
     if (s2 < 1e-15).any():
         raise ValueError("degenerate operator: Tr(R^dag R) ~ 0")
     s_ops = p.operators / np.sqrt(s2)[:, None, None]
-    probs = np.empty((len(p), family.k, family.n))
+    probs = np.empty((len(p), family.k, n))
     for i in range(family.k):
         probs[:, i] = (np.abs(s_ops @ family.encoder(i)) ** 2).sum(axis=1)
     sums = probs.sum(axis=2)
     if (np.abs(sums - 1.0) * s2[:, None] > 1e-12 * np.maximum(1.0, s2)[:, None]).any():
         raise BoundViolation("normalizer varies with the encoding choice")
-    return probs / sums[:, :, None], s2
-
-
-def povm_posteriors(p: Povm, family: EncodingFamily) -> np.ndarray:
-    """Entry [j, i]: P(d | outcome j, announced i) under the uniform prior.
-
-    Uses the trace-normalized operators S_j = R_j / s_j with s_j^2 = Tr(R_j^dag R_j),
-    one product S @ E_i per encoding for the whole stack.  Unitary invariance
-    makes every |S_j E_i|^2 sum to 1; a deviation beyond 1e-12 s_j^2 means the
-    normalizer depends on the encoding choice.
-    """
-    return _posteriors(p, family)[0]
-
-
-def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
-    """Entropy/gain accounting of a POVM against every encoding choice.
-
-    Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities;
-    the k products S @ E_i serve the normalizer check and the posteriors.
-    """
-    n = family.n
-    log_n = float(np.log2(n))
-    posteriors, s2 = _posteriors(p, family)
+    posteriors = probs / sums[:, :, None]
     h_cond = qmath.entropy_rows(posteriors)
     weights = s2 / n
-    h_avg = h_cond.mean(axis=1)
-    gains = log_n - h_avg
+    gains = float(np.log2(n)) - h_cond.mean(axis=1)
     return {
+        "posteriors": posteriors,
         "h_cond": h_cond,
-        "h_avg": h_avg,
+        "h_avg": h_cond.mean(axis=1),
         "weights": weights,
         "gain_worst": float(gains.max()),
         "gain_expected": float((weights * gains).sum()),
     }
+
+
+def check_entropy_family(family: EncodingFamily) -> None:
+    """ValueError unless the entropy-sum bound applies: k = 2 and pairwise unbiased."""
+    if family.k != 2:
+        raise ValueError("the entropy-sum audit is defined for k=2 families")
+    if not family.pairwise_hadamard:
+        raise ValueError("the audit requires a pairwise-unbiased family")
 
 
 def povm_entropy_bound_check(p: Povm, family: EncodingFamily) -> dict:
@@ -106,10 +101,7 @@ def povm_entropy_bound_check(p: Povm, family: EncodingFamily) -> dict:
     Returns the minimum slack over outcomes plus the gain summaries; a
     negative slack beyond tolerance counts as a violation.
     """
-    if family.k != 2:
-        raise ValueError("the entropy-sum audit is defined for k=2 families")
-    if not family.pairwise_hadamard:
-        raise ValueError("the audit requires a pairwise-unbiased family")
+    check_entropy_family(family)
     log_n = float(np.log2(family.n))
     account = povm_gain_account(p, family)
     sums = account["h_cond"].sum(axis=1)

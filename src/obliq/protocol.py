@@ -128,20 +128,29 @@ class MeasurementBasis:
         return {"kind": self.kind, "index": self.index}
 
 
+def structured_items(k: int, start: int) -> tuple:
+    """The item basis behind each factor of structured start `start` < 2k.
+
+    Start j < k is honest_basis j, whose factors are all A_j^dag; start k + g
+    is invert_basis g, whose factor r is A_{(g+r) mod k}^dag.
+    """
+    return (start,) * k if start < k else tuple((start + r) % k for r in range(k))
+
+
 def honest_basis(family: EncodingFamily, j: int) -> MeasurementBasis:
     """M_j: the k-fold tensor power of A_j^dag."""
     if not 0 <= j < family.k:
         raise ValueError(f"choice {j} out of range for k={family.k}")
     adj = family.basis.matrices[j].conj().T
-    return MeasurementBasis(kind="honest", index=j, factors=(adj,) * family.k, items=(j,) * family.k)
+    return MeasurementBasis(kind="honest", index=j, factors=(adj,) * family.k, items=structured_items(family.k, j))
 
 
 def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
     """E_guess^dag: pays off fully when the guess matches the announcement."""
     if not 0 <= guess < family.k:
         raise ValueError(f"guess {guess} out of range for k={family.k}")
-    factors = tuple(a.conj().T for a in family.factors(guess))
-    items = tuple((guess + r) % family.k for r in range(family.k))
+    items = structured_items(family.k, family.k + guess)
+    factors = tuple(family.basis.matrices[a].conj().T for a in items)
     return MeasurementBasis(kind="invert", index=guess, factors=factors, rotation=guess, items=items)
 
 

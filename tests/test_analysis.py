@@ -1,4 +1,4 @@
-"""Bound audits, the leakage optimizer, scans, and trend tables."""
+"""Bound audits, the leakage optimizer, scans, and the random-family leakage trend."""
 
 import hashlib
 import sys
@@ -28,7 +28,6 @@ from obliq.analysis import (
     params_from_unitary,
     povm_gain_audit,
     projective_gain_audit,
-    random_family_leakage_trend,
     scan_csv,
     verify_theorem1,
 )
@@ -40,9 +39,10 @@ from obliq.encodings import (
     build_family,
     explicit_single_bit_family,
     mub_family,
+    random_family,
     walsh_matrix,
 )
-from obliq.protocol import MeasurementBasis, honest_basis, invert_basis, outcome_probs
+from obliq.protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
     SeededRng,
@@ -201,6 +201,13 @@ def _record_calls(monkeypatch, name, log):
     monkeypatch.setattr(analysis, name, wrapper)
 
 
+class _NoDraws:
+    """An rng stand-in that fails the test on first use: a refusal must come before any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the audit read rng.{name} before refusing")
+
+
 def unitary_of_params(theta, n):
     """Reference exponential map: expm(i H(theta)) in the parameter layout of params_from_unitary."""
     h = np.zeros((n, n), dtype=complex)
@@ -277,29 +284,40 @@ class TestMaxLeakage:
     def test_evaluation_budget(self, seed, monkeypatch):
         # two honest starts at n = 256: each is scored per item slot, so the
         # search forms no dense encoder, runs no dense objective, enters no
-        # pool and never descends
+        # pool and never descends; only the winner is built as a basis
         log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 2, seed)
         for name in ("_objective", "_stacked_encoders", "encoder", "_parallel_map", "_cayley_step"):
             assert log.count(name) == 0, name
-        assert log.count("honest_basis") + log.count("invert_basis") == 2
+        assert log.count("honest_basis") + log.count("invert_basis") == 1
 
     def test_one_haar_restart_builds_the_dense_block_once(self, monkeypatch):
         # restarts = 2k + 1: the one Haar start forms E_0..E_3 once and goes
         # on the pool (n = 256), while the eight structured starts stay dense-free
+        # and only the winning one, an honest start, is built as a basis
         log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 9, 200)
         assert log.count("_stacked_encoders") == 1
         assert log.count("encoder") == 4
         assert log.count("_parallel_map") == 1
-        assert log.count("honest_basis") + log.count("invert_basis") == 8
+        assert log.count("honest_basis") == 1 and log.count("invert_basis") == 0
         assert log.count("_objective") >= 1
 
-    @pytest.mark.parametrize("restarts", [1, 4, 6, 9])
-    def test_structured_starts_built_only_when_run(self, restarts, monkeypatch):
+    @pytest.mark.parametrize("restarts", [2, 4, 6, 8])
+    def test_structured_search_builds_one_basis(self, restarts, monkeypatch):
+        # the structured starts at n = 256 are scored from their item tuples;
+        # only the winner, the earliest honest start, becomes a MeasurementBasis
+        built = []
+        init = MeasurementBasis.__post_init__
+        monkeypatch.setattr(MeasurementBasis, "__post_init__", lambda b: built.append(b.label()) or init(b))
+        res = max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(restarts, 2), SeededRng(3))
+        assert built == [{"kind": "honest", "index": 0}]
+        assert res.winner.label() == built[0] and res.best_restart == 0
+
+    def test_a_haar_winner_builds_no_structured_basis(self, monkeypatch):
         built = []
         for name in ("honest_basis", "invert_basis"):
             _record_calls(monkeypatch, name, built)
-        max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(restarts=restarts, iterations=5), SeededRng(3))
-        assert built == (["honest_basis"] * 3 + ["invert_basis"] * 3)[: min(restarts, 6)]
+        res = max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(8, 60), SeededRng(0))
+        assert res.best_restart >= 6 and built == []
 
     def test_deterministic(self):
         fam = explicit_single_bit_family()
@@ -566,6 +584,20 @@ class TestMeasurementAudits:
         rep = povm_gain_audit(fam, 40, SeededRng(21))
         assert rep.violations == 0
 
+    @pytest.mark.parametrize(
+        "basis, match",
+        [
+            (mub_family(3, 1), "k=2"),
+            (random_family(2, 1, SeededRng(5)), "pairwise-unbiased"),
+            (mub_family(2, 5), "up to n = 256"),
+        ],
+        ids=["mub31-k3", "random21-biased", "mub25-n1024"],
+    )
+    def test_povm_audit_refuses_its_family_before_any_draw(self, basis, match):
+        # at (2, 5) the first trial's operators alone would be a 34 GB array
+        with pytest.raises(ValueError, match=match):
+            povm_gain_audit(build_family(basis), 1, _NoDraws())
+
     def test_projective_audit_seeded_values(self):
         # pinned figures: the audit's Haar draws and entropy sums must not move
         rep = projective_gain_audit(build_family(mub_family(3, 2)), 300, SeededRng(4))
@@ -723,23 +755,30 @@ class TestAuditChunks:
         assert run(SeededRng(13)).to_json() == run(SeededRng(13)).to_json()
 
 
+def _mean_honest_leakage(family) -> float:
+    return float(np.mean([honest_leakage(family, j) for j in range(family.k)]))
+
+
 class TestLeakageTrend:
-    def test_table_contents(self):
-        rows = random_family_leakage_trend([2], [1, 2], seeds=3, rng=SeededRng(22))
-        mub_rows = [r for r in rows if r["family"] == "mub"]
-        rand_rows = [r for r in rows if r["family"] == "random"]
-        assert len(mub_rows) == 2 and len(rand_rows) == 6
-        for r in mub_rows:
-            assert r["leakage_bits"] == pytest.approx(0.0, abs=1e-9)
-        for r in rand_rows:
-            assert 0.0 <= r["per_item_bits"] <= r["m"]
+    """Honest-user leakage of Haar families against unbiased ones, at k = 2 over m."""
+
+    def test_unbiased_families_leak_nothing_and_random_ones_at_most_m(self):
+        for cell, m in enumerate((1, 2)):
+            assert _mean_honest_leakage(build_family(mub_family(2, m))) == pytest.approx(0.0, abs=1e-9)
+            for s in range(3):
+                leak = _mean_honest_leakage(build_family(random_family(2, m, SeededRng(22).derive(cell * 1000 + s))))
+                assert 0.0 <= leak <= m
 
     def test_normalized_leakage_shrinks_with_item_size(self):
         # the informative trend: leakage as a fraction of the item size
         # decreases as m grows at fixed k (absolute leakage saturates)
-        rows = random_family_leakage_trend([2], [1, 3, 6], seeds=20, rng=SeededRng(23))
-        med = {}
-        for m in (1, 3, 6):
-            vals = [r["per_item_fraction"] for r in rows if r["family"] == "random" and r["m"] == m]
-            med[m] = float(np.median(vals))
-        assert med[1] > med[3] > med[6]
+        med = [
+            np.median(
+                [
+                    _mean_honest_leakage(build_family(random_family(2, m, SeededRng(23).derive(cell * 1000 + s)))) / m
+                    for s in range(20)
+                ]
+            )
+            for cell, m in enumerate((1, 3, 6))
+        ]
+        assert med[0] > med[1] > med[2]

@@ -99,6 +99,11 @@ def test_ci_runs_the_roadmaps_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     runs = [step.get("run", "").strip() for job in workflow["jobs"].values() for step in job["steps"]]
     assert command in runs
+    # the install takes the versions the manifest was made with, numpy pinned exactly
+    install_step = next(r for r in runs if r.startswith("pip install"))
+    install = re.fullmatch(r'pip install -e "\.\[test\]" -c (\S+)', install_step)
+    pins = (ROOT / install.group(1)).read_text().splitlines()
+    assert [pin for pin in pins if re.fullmatch(r"numpy==\d+(\.\d+)+", pin)]
 
 
 def test_usage_errors_include_the_benchmarks_malformed_commands():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obliq import gf2, protocol
-from obliq.encodings import explicit_single_bit_family, walsh_family
+from obliq.encodings import MAX_TRIALS, explicit_single_bit_family, walsh_family
 from obliq.hardening import (
     GfMask,
     XorShares,
@@ -16,6 +16,13 @@ from obliq.hardening import (
 )
 from obliq.protocol import DatabaseState, honest_basis, run_session
 from obliq.qmath import BoundViolation, SeededRng
+
+
+class _NoDraws:
+    """An rng stand-in that fails the test on first use: a refusal must come before any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the Monte Carlo read rng.{name} before refusing")
 
 
 def _slow_gf_mul(a: int, b: int, modulus: int) -> int:
@@ -246,6 +253,10 @@ class TestGuessAttack:
         with pytest.raises(ValueError, match="trials >= 1"):
             xor_guess_attack(explicit_single_bit_family(), DatabaseState(2, 1, (1, 0)), 1, trials, SeededRng(3))
 
+    def test_trials_above_the_cap_refused_before_any_draw(self):
+        with pytest.raises(ValueError, match=f"trials >= 1 and <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
+            xor_guess_attack(explicit_single_bit_family(), DatabaseState(2, 1, (1, 0)), 1, MAX_TRIALS + 1, _NoDraws())
+
 
 class TestMaskedSession:
     def test_honest_decode_exhaustive_m2(self):
@@ -291,14 +302,14 @@ class TestMaskedSession:
 class TestBitTargetingAudit:
     def test_m4_entropy_floor(self):
         rep = bit_targeting_audit(4, 400, SeededRng(31))
-        assert rep["min_bit_entropy"] >= 0.9
+        assert rep["min_bit_entropy"] >= 0.9 and rep["threshold"] == 0.9
         assert rep["passed"]
-
-    def test_threshold_configurable(self):
-        rep = bit_targeting_audit(4, 100, SeededRng(32), threshold=0.5)
-        assert rep["threshold"] == 0.5
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_refused(self, trials):
         with pytest.raises(ValueError, match="trials >= 1"):
             bit_targeting_audit(3, trials, SeededRng(4))
+
+    def test_trials_above_the_cap_refused_before_any_draw(self):
+        with pytest.raises(ValueError, match=f"trials >= 1 and <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
+            bit_targeting_audit(3, MAX_TRIALS + 1, _NoDraws())

@@ -1,9 +1,10 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
 only `qmath` owns a worker pool, each chunked audit enters it once and Haar
 sampling never does, importing obliq loads no scipy, and a per-slot posterior
-applies no Kronecker chain.  The benchmark contract: the span tracer in
-perfbench/ installs and uninstalls cleanly, and every obliq name the workloads
-read exists."""
+applies no Kronecker chain.  Every name `obliq` exports has a reader outside
+the unit tests.  The benchmark contract: the span tracer in perfbench/
+installs and uninstalls cleanly, and every obliq name the workloads read
+exists."""
 
 import ast
 import importlib
@@ -21,7 +22,8 @@ from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_fa
 from obliq.protocol import honest_basis, invert_basis, parity_basis, posterior
 
 PACKAGE = Path(obliq.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
 
 
@@ -276,6 +278,34 @@ def test_chain_spy_catches_the_parity_path(monkeypatch):
     calls = spy_chain_calls(monkeypatch)
     posterior(parity_basis(), fam, 1, 0)
     assert calls == ["vec_times_encoder", "kron_apply"]
+
+
+# ---------------------------------------------------------------------------
+# the public surface: every export is read by the library, a demo, the benchmark or the acceptance suite
+
+
+def names_read(source: str) -> set:
+    """Every name the source loads, bare or as an attribute; a def or class statement reads none."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_exported_name_has_a_reader_outside_the_unit_tests():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    readers = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    readers += [*(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(names_read(p.read_text()) for p in readers))
+    assert len(exported) > 40
+    assert sorted(exported - read) == []
+
+
+def test_read_detector_skips_definitions_and_stores():
+    source = "def f(a):\n    return g.h(a)\n\nclass C:\n    pass\n\nx = y\nz.w = 1"
+    assert names_read(source) == {"g", "h", "a", "y", "z"}
 
 
 # ---------------------------------------------------------------------------

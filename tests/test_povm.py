@@ -8,7 +8,6 @@ from obliq.povm import (
     Povm,
     povm_entropy_bound_check,
     povm_gain_account,
-    povm_posteriors,
     random_povm,
     validate_povm,
 )
@@ -150,7 +149,7 @@ class TestPovmPosterior:
         # full enumeration at k=2, m=1 against the projective posterior
         rng = SeededRng(21)
         basis = custom_basis(haar_unitary(4, rng))
-        post = povm_posteriors(povm_from_basis(basis), explicit)
+        post = povm_gain_account(povm_from_basis(basis), explicit)["posteriors"]
         for i in range(2):
             for j in range(4):
                 np.testing.assert_allclose(
@@ -164,7 +163,7 @@ class TestPovmPosterior:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    povm_posteriors(p, explicit)[j, i], np.full(4, 0.25), atol=1e-12
+                    povm_gain_account(p, explicit)["posteriors"][j, i], np.full(4, 0.25), atol=1e-12
                 )
 
     def test_rank2_eigen_mixture(self, explicit):
@@ -180,7 +179,7 @@ class TestPovmPosterior:
         rest = (eigvecs * np.sqrt(np.clip(eigvals, 0, None))) @ eigvecs.conj().T
         p = validate_povm(Povm(dim=4, operators=(s_op, rest)))
         for i in range(2):
-            mixture = povm_posteriors(p, explicit)[0, i]
+            mixture = povm_gain_account(p, explicit)["posteriors"][0, i]
             e_i = explicit.encoder(i)
             parts = []
             for vec in (v, w):
@@ -206,7 +205,7 @@ class TestPovmPosterior:
                     lam[r] * np.abs(vecs[:, r].conj() @ e_i) ** 2 for r in range(4)
                 )
                 np.testing.assert_allclose(
-                    povm_posteriors(p, explicit)[0, i], mixture, atol=1e-9
+                    povm_gain_account(p, explicit)["posteriors"][0, i], mixture, atol=1e-9
                 )
 
     def test_normalizer_encoding_invariance(self, explicit):
@@ -261,7 +260,8 @@ class TestGainAccount:
         root = SeededRng(88)
         for t in range(5):
             p = random_povm(family.n, 3 + t, root.derive(t))
-            acct, post = povm_gain_account(p, family), povm_posteriors(p, family)
+            acct = povm_gain_account(p, family)
+            post = acct["posteriors"]
             for j in range(len(p)):
                 for i in range(family.k):
                     expected = entropy_rows(post[j, i])
@@ -275,8 +275,6 @@ class TestGainAccount:
         p = random_povm(4, 3, SeededRng(89))
         with pytest.raises(BoundViolation, match="normalizer"):
             povm_gain_account(p, fam)
-        with pytest.raises(BoundViolation, match="normalizer"):
-            povm_posteriors(p, fam)
 
     @pytest.mark.parametrize("family", ACCOUNT_FAMILIES, ids=ACCOUNT_IDS)
     def test_stacked_account_has_the_per_operator_bits(self, family):
