@@ -56,9 +56,10 @@ MAX_RESTARTS = 1024
 # it a search may take only its 2k structured starts.
 MAX_SEARCH_DIM = 512
 # A POVM audit trial holds up to N = 2n operators of a k = 2 family, n = 4^m, in
-# (N, n, n) complex arrays: one is 0.5 GB at m = 4, where a trial peaked at
-# 1.9 GB, and 2.2 TB at m = 6.
-MAX_POVM_M = 4
+# (N, n, n) complex arrays.  One is 8 MB at m = 3, where the default 200
+# trials ran in 8 s and peaked at 77 MB.  At m = 4 one is 0.5 GB: a trial
+# peaked at 1.9 GB, and 200 would run about 26 minutes.
+MAX_POVM_M = 3
 
 
 def check_desk_cell(k: int, m: int) -> None:
@@ -327,12 +328,12 @@ def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily
 def _gr4_phase_bases(m: int) -> list:
     """The 2^m pairwise-unbiased phase bases of GR(4, m), as matrices.
 
-    Basis a (a = 0, 1, x, x^2, ... in GF(2^m) on its primitive modulus) has
+    Basis a (a = 0, 1, x, x^2, ... in GF(2^m), whose modulus is primitive) has
     entries i^(T(ax) + 2 tr(bx)) / sqrt(2^m) at row x, column b.
     """
     q = 1 << m
     elems = np.arange(q, dtype=np.int64)
-    prod = gf2.mul(elems[:, None], elems[None, :], m, gf2.primitive_poly(m))
+    prod = gf2.mul(elems[:, None], elems[None, :], m)
     conj = [elems]
     for _ in range(m - 1):
         conj.append(prod[conj[-1], conj[-1]])

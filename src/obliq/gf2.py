@@ -1,8 +1,9 @@
 """GF(2^m) arithmetic on integer-encoded polynomials (LSB = constant term).
 
-Multiplication is carry-less polynomial multiplication reduced by a fixed
-irreducible modulus per degree.  All arithmetic helpers broadcast over numpy
-arrays so exhaustive sweeps stay cheap.
+Every degree 1 <= m <= 16 has one modulus, the least primitive polynomial, so
+x generates the unit group and a product or an inverse is a lookup in one
+cached table of x's powers and their logarithms (Lidl & Niederreiter, *Finite
+Fields*).  `mul` and `inverse` broadcast over arrays, returning ints for scalars.
 """
 
 from __future__ import annotations
@@ -14,106 +15,46 @@ import numpy as np
 MAX_DEGREE = 16
 
 
-def poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def is_irreducible(p: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(p)//2."""
-    deg = poly_degree(p)
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for q in range(2, 1 << (deg // 2 + 1)):
-        if poly_degree(q) < 1:
-            continue
-        if _poly_rem(p, q) == 0:
-            return False
-    return True
-
-
-def _poly_rem(a: int, b: int) -> int:
-    db = poly_degree(b)
-    while poly_degree(a) >= db:
-        a ^= b << (poly_degree(a) - db)
-    return a
-
-
 @lru_cache(maxsize=None)
-def irreducible_poly(m: int) -> int:
-    """Lexicographically least irreducible polynomial of degree m (m <= 16)."""
+def _field(m: int) -> tuple:
+    """(modulus, exp, log) of GF(2^m): exp[j] = x^j over two periods, log[exp[j]] = j."""
     if not 1 <= m <= MAX_DEGREE:
         raise ValueError(f"degree {m} outside supported range 1..{MAX_DEGREE}")
-    for low in range(1 << m):
-        cand = (1 << m) | low
-        if is_irreducible(cand):
-            return cand
-    raise RuntimeError(f"no irreducible polynomial of degree {m}")  # unreachable
-
-
-@lru_cache(maxsize=None)
-def primitive_poly(m: int) -> int:
-    """Least irreducible of degree m whose root generates the full unit group."""
     order = (1 << m) - 1
-    for low in range(1 << m):
-        cand = (1 << m) | low
-        if not is_irreducible(cand):
-            continue
-        if m == 1 or _element_order(2, cand, m) == order:
-            return cand
-    raise RuntimeError(f"no primitive polynomial of degree {m}")  # unreachable
+    # a candidate with constant term 1 keeps x a unit, so its powers return to
+    # 1; x has order 2^m - 1 exactly when the candidate is primitive
+    for modulus in range((1 << m) | 1, 2 << m, 2):
+        powers = [1]
+        while (v := powers[-1] << 1 ^ (modulus if powers[-1] >> (m - 1) else 0)) != 1:
+            powers.append(v)
+        if len(powers) == order:
+            break
+    exp = np.array(powers * 2, dtype=np.int64)
+    log = np.zeros(1 << m, dtype=np.int64)
+    log[exp[:order]] = np.arange(order)
+    # x + 1 is primitive at m = 1, but GF(2) is the same field modulo x, the
+    # least irreducible modulus, which degree-1 masks report
+    return (0b10 if m == 1 else modulus), exp, log
 
 
-def _element_order(a: int, mod: int, m: int) -> int:
-    order = (1 << m) - 1
-    powers = np.array([a], dtype=np.int64)  # powers[j] = a^(j+1); each product doubles it
-    while powers.size < order:
-        powers = np.concatenate([powers, mul(powers, powers[-1], m, mod)])
-    ones = np.flatnonzero(powers[:order] == 1)
-    return int(ones[0]) + 1 if ones.size else 0
+def modulus(m: int) -> int:
+    """The degree-m modulus; ValueError unless 1 <= m <= MAX_DEGREE."""
+    return _field(m)[0]
 
 
-# ---------------------------------------------------------------------------
-# field arithmetic, broadcasting over arrays
-
-
-def mul(a, b, m: int, modulus: int | None = None):
+def mul(a, b, m: int):
     """Field product a * b in GF(2^m); accepts ints or integer arrays."""
-    mod = irreducible_poly(m) if modulus is None else modulus
-    aa = np.asarray(a, dtype=np.int64)
-    bb = np.asarray(b, dtype=np.int64)
-    aa, bb = np.broadcast_arrays(aa, bb)
-    acc = np.zeros_like(aa)
-    shifted = aa.copy()
-    for bit in range(m):
-        acc ^= np.where((bb >> bit) & 1, shifted, 0)
-        shifted = shifted << 1
-        shifted = np.where((shifted >> m) & 1, shifted ^ mod, shifted)
-    if acc.ndim == 0:
-        return int(acc)
-    return acc
+    _, exp, log = _field(m)
+    aa, bb = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    prod = np.where((aa == 0) | (bb == 0), 0, exp[log[aa] + log[bb]])
+    return int(prod) if prod.ndim == 0 else prod
 
 
-def power(a, e: int, m: int, modulus: int | None = None):
-    """Field power a**e by square-and-multiply; broadcasts over arrays."""
-    mod = irreducible_poly(m) if modulus is None else modulus
-    base = np.asarray(a, dtype=np.int64)
-    acc = np.ones_like(base)
-    ee = int(e)
-    while ee:
-        if ee & 1:
-            acc = np.asarray(mul(acc, base, m, mod), dtype=np.int64)
-        base = np.asarray(mul(base, base, m, mod), dtype=np.int64)
-        ee >>= 1
-    if acc.ndim == 0:
-        return int(acc)
-    return acc
-
-
-def inverse(a, m: int, modulus: int | None = None):
+def inverse(a, m: int):
     """Multiplicative inverse; a must be nonzero everywhere."""
+    _, exp, log = _field(m)
     aa = np.asarray(a, dtype=np.int64)
     if np.any(aa == 0):
         raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-    return power(a, (1 << m) - 2, m, modulus)
+    inv = exp[len(exp) // 2 - log[aa]]
+    return int(inv) if inv.ndim == 0 else inv

@@ -20,7 +20,7 @@ from .qmath import BoundViolation, SeededRng
 
 @dataclass(frozen=True)
 class GfMask:
-    """Affine map d -> a*d + b over GF(2^m), with the per-degree fixed modulus."""
+    """Affine map d -> a*d + b over GF(2^m), on the degree's one modulus."""
 
     m: int
     a: int
@@ -28,27 +28,24 @@ class GfMask:
     modulus: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.m <= gf2.MAX_DEGREE:
-            raise ValueError(f"mask degree {self.m} outside 1..{gf2.MAX_DEGREE}")
+        object.__setattr__(self, "modulus", gf2.modulus(self.m))  # refuses m outside 1..MAX_DEGREE
         limit = 1 << self.m
         if not 0 < self.a < limit:
             raise ValueError("mask coefficient a must be a nonzero field element")
         if not 0 <= self.b < limit:
             raise ValueError("mask offset b out of range")
-        object.__setattr__(self, "modulus", gf2.irreducible_poly(self.m))
 
     def apply(self, d: int) -> int:
         """a*d + b in GF(2^m) (carry-less product, addition is XOR)."""
         if not 0 <= d < 1 << self.m:
             raise ValueError(f"value {d} out of range for m={self.m}")
-        return int(gf2.mul(self.a, d, self.m, self.modulus)) ^ self.b
+        return gf2.mul(self.a, d, self.m) ^ self.b
 
     def unmask(self, dp: int) -> int:
         """a^-1 * (dp + b), the inverse affine map."""
         if not 0 <= dp < 1 << self.m:
             raise ValueError(f"value {dp} out of range for m={self.m}")
-        a_inv = gf2.inverse(self.a, self.m, self.modulus)
-        return int(gf2.mul(a_inv, dp ^ self.b, self.m, self.modulus))
+        return gf2.mul(gf2.inverse(self.a, self.m), dp ^ self.b, self.m)
 
     def payload(self) -> dict:
         return {"m": self.m, "a": self.a, "b": self.b, "modulus": self.modulus}
@@ -186,7 +183,7 @@ def bit_targeting_audit(m: int, trials: int, rng: SeededRng) -> dict:
     entropy of each single bit of d and passes when the worst one is at
     least 0.9 bits.
     """
-    modulus = gf2.irreducible_poly(m)  # refuses m outside 1..MAX_DEGREE
+    gf2.modulus(m)  # refuses m outside 1..MAX_DEGREE
     check_trials(trials)
     gen = rng.gen
     limit = 1 << m
@@ -195,7 +192,7 @@ def bit_targeting_audit(m: int, trials: int, rng: SeededRng) -> dict:
     for _ in range(trials):
         a = int(gen.integers(1, limit))
         b = int(gen.integers(limit))
-        observed_bit = (np.asarray(gf2.mul(a, values, m, modulus)) ^ b) & 1
+        observed_bit = (gf2.mul(a, values, m) ^ b) & 1
         true_d = int(gen.integers(limit))
         support = values[observed_bit == observed_bit[true_d]]
         p1 = ((support[:, None] >> np.arange(m)) & 1).mean(axis=0)

@@ -589,12 +589,14 @@ class TestMeasurementAudits:
         [
             (mub_family(3, 1), "k=2"),
             (random_family(2, 1, SeededRng(5)), "pairwise-unbiased"),
-            (mub_family(2, 5), "up to n = 256"),
+            (mub_family(2, 5), "up to n = 64"),
+            (mub_family(2, 4), "up to n = 64"),
         ],
-        ids=["mub31-k3", "random21-biased", "mub25-n1024"],
+        ids=["mub31-k3", "random21-biased", "mub25-n1024", "mub24-n256"],
     )
     def test_povm_audit_refuses_its_family_before_any_draw(self, basis, match):
-        # at (2, 5) the first trial's operators alone would be a 34 GB array
+        # the first trial's operators alone would be a 34 GB array at (2, 5)
+        # and a 0.5 GB one at (2, 4)
         with pytest.raises(ValueError, match=match):
             povm_gain_audit(build_family(basis), 1, _NoDraws())
 

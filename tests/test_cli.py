@@ -359,6 +359,7 @@ class TestMalformed:
             ["session", "--db", "0", "--strategy", "invert", "--guess", "9", "--seed", "5"],
             ["session", "--k", "3", "--family", "mub", "--db", "0", "--mask", "--seed", "5"],
             ["demo", "--choice", "2", "--seed", "5"],
+            ["verify", "--suite", "povm", "--m", "4", "--seed", "5"],
         ],
     )
     def test_one_line_usage_error(self, argv, capsys):
@@ -378,6 +379,7 @@ class TestMalformed:
             ["scan", "--k", "3", "--m", "2", "--restarts", "3000000000"],
             ["scan", "--k", "4", "--m", "3"],
             ["verify", "--suite", "hk", "--k", "4", "--m", "3", "--trials", "1000000000000"],
+            ["verify", "--suite", "povm", "--m", "4"],
         ],
     )
     def test_oversized_counts_refused_under_a_1gb_address_space(self, argv):

@@ -99,6 +99,8 @@ def test_ci_runs_the_roadmaps_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     runs = [step.get("run", "").strip() for job in workflow["jobs"].values() for step in job["steps"]]
     assert command in runs
+    # the job only reads the checkout, so its token gets no write scope
+    assert workflow["permissions"] == {"contents": "read"}
     # the install takes the versions the manifest was made with, numpy pinned exactly
     install_step = next(r for r in runs if r.startswith("pip install"))
     install = re.fullmatch(r'pip install -e "\.\[test\]" -c (\S+)', install_step)

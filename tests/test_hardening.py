@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliq import gf2, protocol
 from obliq.encodings import MAX_TRIALS, explicit_single_bit_family, walsh_family
@@ -60,23 +62,46 @@ def _euclid_inverse(a: int, modulus: int) -> int:
     return _slow_gf_mul(1, s1, modulus) if s1.bit_length() - 1 >= modulus.bit_length() - 1 else s1
 
 
+def _order_of_x(modulus: int) -> int:
+    """Independent oracle: the multiplicative order of x modulo a degree >= 2 polynomial."""
+    m = modulus.bit_length() - 1
+    v, order = 2, 1
+    while v != 1:
+        v <<= 1
+        if v >> m:
+            v ^= modulus
+        order += 1
+    return order
+
+
 class TestModuli:
     def test_table_certified_irreducible(self):
-        for m in range(1, 17):
-            mod = gf2.irreducible_poly(m)
-            assert gf2.poly_degree(mod) == m
-            assert gf2.is_irreducible(mod)
+        # x of order 2^m - 1 makes the modulus primitive, hence irreducible;
+        # GF(2) keeps x itself, whose unit group {1} needs no generator
+        assert gf2.modulus(1) == 0b10
+        for m in range(2, gf2.MAX_DEGREE + 1):
+            mod = gf2.modulus(m)
+            assert mod.bit_length() - 1 == m
+            assert _order_of_x(mod) == (1 << m) - 1
+        # the oracle sees through an irreducible modulus that is not primitive
+        assert _order_of_x(0x11B) == 51
 
     def test_known_small_moduli(self):
-        assert gf2.irreducible_poly(2) == 0b111
-        assert gf2.irreducible_poly(3) == 0b1011  # x^3 + x + 1
-        assert gf2.irreducible_poly(8) == 0x11B
+        # up to m = 7 the least primitive modulus is also the least irreducible
+        # one, so every mask the CLI can draw (m <= 6) keeps its field
+        least_irreducible = [0b10, 0b111, 0b1011, 0b10011, 0b100101, 0b1000011, 0b10000011]
+        assert [gf2.modulus(m) for m in range(1, 8)] == least_irreducible
 
     def test_primitive_moduli(self):
-        # x^8 + x^4 + x^3 + x + 1 (0x11B) is irreducible, but its root has order 51
         expected = [0b10, 0b111, 0b1011, 0b10011, 0b100101, 0b1000011, 0b10000011, 0x11D, 0x211, 0x409]
-        assert [gf2.primitive_poly(m) for m in range(1, 11)] == expected
-        assert gf2._element_order(2, 0x11B, 8) == 51
+        assert [gf2.modulus(m) for m in range(1, 11)] == expected
+
+    @pytest.mark.parametrize("m", [0, -1, gf2.MAX_DEGREE + 1])
+    def test_degree_outside_the_table_refused(self, m):
+        with pytest.raises(ValueError, match="outside supported range"):
+            gf2.modulus(m)
+        with pytest.raises(ValueError, match="outside supported range"):
+            GfMask(m, 1, 0)
 
 
 class TestGfArithmetic:
@@ -88,7 +113,7 @@ class TestGfArithmetic:
 
     def test_mul_matches_slow_oracle(self):
         for m in (2, 3, 4, 5, 8):
-            mod = gf2.irreducible_poly(m)
+            mod = gf2.modulus(m)
             rng = SeededRng(m)
             for _ in range(200):
                 a = int(rng.gen.integers(1 << m))
@@ -115,11 +140,23 @@ class TestGfArithmetic:
 
     def test_inverse_matches_euclid_oracle(self):
         m = 3
-        mod = gf2.irreducible_poly(m)
+        mod = gf2.modulus(m)
         for a in range(1, 8):
             e = _euclid_inverse(a, mod)
             assert _slow_gf_mul(a, e, mod) == 1
             assert gf2.inverse(a, m) == e
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_table_lookups_match_the_oracle(self, data):
+        m = data.draw(st.integers(1, gf2.MAX_DEGREE))
+        a = data.draw(st.integers(0, (1 << m) - 1))
+        b = data.draw(st.integers(0, (1 << m) - 1))
+        product = gf2.mul(a, b, m)
+        assert type(product) is int and product == _slow_gf_mul(a, b, gf2.modulus(m))
+        if a:
+            assert gf2.mul(a, gf2.inverse(a, m), m) == 1
 
 
 class TestMask:

@@ -84,13 +84,13 @@ def test_detector_flags_each_import_form():
             "from obliq import gf2 as g",
             "def f(rng):",
             "    protocol._run_session(rng)",
-            "    return qm._splitmix64(1) + g._poly_rem(3, 2) + protocol.run_session.__name__",
+            "    return qm._splitmix64(1) + g._field(3)[0] + protocol.run_session.__name__",
         ]
     )
     assert private_reads(source) == [
         (2, "analysis._parallel_map"),
         (6, "protocol._run_session"),
-        (7, "gf2._poly_rem"),
+        (7, "gf2._field"),
         (7, "qmath._splitmix64"),
     ]
 
