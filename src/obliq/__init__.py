@@ -45,8 +45,6 @@ from .hardening import (
 )
 from .povm import (
     Povm,
-    povm_entropy_bound_check,
-    povm_gain_account,
     random_povm,
     validate_povm,
 )

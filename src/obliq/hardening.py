@@ -76,22 +76,19 @@ class XorShares:
         object.__setattr__(self, "pairs", pairs)
 
 
+def _share_pairs(d0: int, d1: int, r: int, m: int, gen) -> list:
+    """r-1 uniform pairs drawn from `gen`, then the pair that closes the XOR folds on (d0, d1)."""
+    pairs = [(int(gen.integers(1 << m)), int(gen.integers(1 << m))) for _ in range(r - 1)]
+    for s0, s1 in pairs:
+        d0, d1 = d0 ^ s0, d1 ^ s1
+    return pairs + [(d0, d1)]
+
+
 def xor_split(d0: int, d1: int, r: int, m: int, rng: SeededRng) -> XorShares:
     """Split (d0, d1) into r share pairs: r-1 uniform pairs plus a closing pair."""
-    limit = 1 << m
-    if not (0 <= d0 < limit and 0 <= d1 < limit):
+    if not (0 <= d0 < 1 << m and 0 <= d1 < 1 << m):
         raise ValueError("item value out of range")
-    gen = rng.gen
-    pairs = []
-    acc0, acc1 = 0, 0
-    for _ in range(r - 1):
-        s0 = int(gen.integers(limit))
-        s1 = int(gen.integers(limit))
-        pairs.append((s0, s1))
-        acc0 ^= s0
-        acc1 ^= s1
-    pairs.append((acc0 ^ d0, acc1 ^ d1))
-    return XorShares(r=r, m=m, pairs=tuple(pairs))
+    return XorShares(r=r, m=m, pairs=tuple(_share_pairs(d0, d1, r, m, rng.gen)))
 
 
 def xor_reconstruct(shares: XorShares) -> tuple:
@@ -111,11 +108,17 @@ def xor_guess_attack(
     Per round the attacker measures with the inverse of a guessed encoder;
     a matched guess pins that round's share pair exactly, a mismatch leaves
     it uniform.  Recovery of both items therefore requires matching every
-    round, and when that happens the reconstruction is checked against the
-    true database.
+    round, and then the XOR fold of the decoded pairs must be the database.
+    Trial t draws the shares as `xor_split` does from rng.derive(t), then
+    per round the index, the guess and, on a match, the outcome.  Every
+    argument is checked before the first draw.
     """
     if family.k != 2 or db.k != 2:
         raise ValueError("the share-splitting attack model is for k=2")
+    if db.m != family.m:
+        raise ValueError(f"database has m = {db.m}, the family m = {family.m}")
+    if r < 1:
+        raise ValueError("share splitting needs r >= 1")
     check_trials(trials)
     m = family.m
     bases = [invert_basis(family, g) for g in range(2)]
@@ -124,9 +127,8 @@ def xor_guess_attack(
     successes = 0
     for t in range(trials):
         stream = rng.derive(t)
-        shares = xor_split(db.items[0], db.items[1], r, m, stream)
-        recovered = []
-        for pair in shares.pairs:
+        d0, d1 = 0, 0
+        for pair in _share_pairs(*db.items, r, m, stream.gen):
             i = int(stream.gen.integers(2))
             guess = int(stream.gen.integers(2))
             if i != guess:
@@ -138,9 +140,10 @@ def xor_guess_attack(
             if (i, outcome) not in decodes:
                 d = int(np.argmax(protocol.posterior(bases[i], family, i, outcome)))
                 decodes[i, outcome] = tuple(protocol.item_blocks(d, 2, m))
-            recovered.append(decodes[i, outcome])
+            s0, s1 = decodes[i, outcome]
+            d0, d1 = d0 ^ s0, d1 ^ s1
         else:  # every round's guess matched
-            if xor_reconstruct(XorShares(r, m, tuple(recovered))) != db.items:
+            if (d0, d1) != db.items:
                 raise BoundViolation("matched guesses must reconstruct the database")
             successes += 1
     freq = successes / trials

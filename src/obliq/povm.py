@@ -60,14 +60,17 @@ def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
     beyond 1e-12 s_j^2 means the normalizer depends on the encoding choice.
     Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
     """
-    n = family.n
+    return _gain_account(p, [family.encoder(i) for i in range(family.k)])
+
+
+def _gain_account(p: Povm, encoders: list) -> dict:
+    """`povm_gain_account` against the dense encoders E_0..E_{k-1} of a family."""
+    n = p.dim
     s2 = np.trace(p.operators.conj().transpose(0, 2, 1) @ p.operators, axis1=1, axis2=2).real
     if (s2 < 1e-15).any():
         raise ValueError("degenerate operator: Tr(R^dag R) ~ 0")
     s_ops = p.operators / np.sqrt(s2)[:, None, None]
-    probs = np.empty((len(p), family.k, n))
-    for i in range(family.k):
-        probs[:, i] = (np.abs(s_ops @ family.encoder(i)) ** 2).sum(axis=1)
+    probs = np.stack([(np.abs(s_ops @ e) ** 2).sum(axis=1) for e in encoders], axis=1)
     sums = probs.sum(axis=2)
     if (np.abs(sums - 1.0) * s2[:, None] > 1e-12 * np.maximum(1.0, s2)[:, None]).any():
         raise BoundViolation("normalizer varies with the encoding choice")
@@ -99,18 +102,23 @@ def povm_entropy_bound_check(p: Povm, family: EncodingFamily) -> dict:
     Returns the minimum slack over outcomes plus the gain summaries; a
     negative slack beyond tolerance counts as a violation.
     """
+    return next(povm_entropy_bound_checks([p], family))
+
+
+def povm_entropy_bound_checks(povms, family: EncodingFamily):
+    """`povm_entropy_bound_check` of each POVM in turn, with the family's two encoders built once."""
     check_entropy_family(family)
-    log_n = float(np.log2(family.n))
-    account = povm_gain_account(p, family)
-    sums = account["h_cond"].sum(axis=1)
-    slack = sums - log_n
-    return {
-        "outcomes": len(p.operators),
-        "min_slack_bits": float(slack.min()),
-        "violations": int((slack < -1e-9).sum()),
-        "gain_worst": account["gain_worst"],
-        "gain_expected": account["gain_expected"],
-    }
+    encoders = [family.encoder(i) for i in range(2)]
+    for p in povms:
+        account = _gain_account(p, encoders)
+        slack = account["h_cond"].sum(axis=1) - float(np.log2(p.dim))
+        yield {
+            "outcomes": len(p.operators),
+            "min_slack_bits": float(slack.min()),
+            "violations": int((slack < -1e-9).sum()),
+            "gain_worst": account["gain_worst"],
+            "gain_expected": account["gain_expected"],
+        }
 
 
 def random_povm(dim: int, n_ops: int, rng: SeededRng) -> Povm:

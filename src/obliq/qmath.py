@@ -18,6 +18,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_TOL = 1e-9
 
@@ -38,13 +39,20 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# Philox(key=...) would first seed itself from system entropy and then drop
-# it; a fixed SeedSequence seeds it instead, and the key is set as its state.
-_FIXED_SEED = np.random.SeedSequence(0)
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its key (seed, stream) as is: no seeding hash, no system entropy."""
+
+    def __init__(self, seed: int, stream: int):
+        self.key = (seed, stream)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:  # any other request would change every stream
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return np.array(self.key, dtype=np.uint64)
 
 
 class SeededRng:
-    """Counter-based random source; (seed, stream) fully determine the draws.
+    """Counter-based random source: Philox keyed (seed, stream) at counter 0.
 
     Derived streams are stable across runs, so parallel trials can each own
     a child stream without coordination.  No system entropy is read.
@@ -53,19 +61,7 @@ class SeededRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        bits = np.random.Philox(_FIXED_SEED)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self.seed, self.stream], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self.gen = np.random.Generator(bits)
+        self.gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream)))
 
     def derive(self, index: int) -> "SeededRng":
         """Child stream number `index` of this stream."""

@@ -42,6 +42,7 @@ from obliq.encodings import (
     random_family,
     walsh_matrix,
 )
+from obliq.povm import povm_entropy_bound_check, random_povm
 from obliq.protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
@@ -583,6 +584,24 @@ class TestMeasurementAudits:
         fam = explicit_single_bit_family()
         rep = povm_gain_audit(fam, 40, SeededRng(21))
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("basis", [mub_family(2, 1), mub_family(2, 2)], ids=["mub21", "mub22"])
+    def test_povm_audit_builds_each_encoder_once_and_matches_a_per_trial_check(self, basis, monkeypatch):
+        family = build_family(basis)
+        reports = []
+        for t in range(30):  # the audit as a loop of one-POVM checks, each building its own encoders
+            stream = SeededRng(8).derive(t)
+            pv = random_povm(family.n, int(stream.gen.integers(2, 2 * family.n + 1)), stream)
+            reports.append(povm_entropy_bound_check(pv, family))
+        calls = []
+        encoder = EncodingFamily.encoder
+        monkeypatch.setattr(EncodingFamily, "encoder", lambda fam, i: calls.append(i) or encoder(fam, i))
+        rep = povm_gain_audit(family, 30, SeededRng(8))
+        assert calls == [0, 1]
+        assert rep.min_slack == min(r["min_slack_bits"] for r in reports)
+        assert rep.violations == sum(r["violations"] for r in reports)
+        assert rep.parameters["worst_expected_gain"] == max(r["gain_expected"] for r in reports)
+        assert rep.parameters["worst_outcome_gain"] == max(r["gain_worst"] for r in reports)
 
     @pytest.mark.parametrize(
         "basis, match",

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq import gf2, protocol
-from obliq.encodings import MAX_TRIALS, explicit_single_bit_family, walsh_family
+from obliq import gf2, hardening, protocol
+from obliq.encodings import MAX_TRIALS, build_family, explicit_single_bit_family, random_family, walsh_family
 from obliq.hardening import (
     GfMask,
     XorShares,
@@ -16,7 +16,7 @@ from obliq.hardening import (
     xor_reconstruct,
     xor_split,
 )
-from obliq.protocol import DatabaseState, honest_basis, run_session
+from obliq.protocol import DatabaseState, honest_basis, invert_basis, run_session
 from obliq.qmath import BoundViolation, SeededRng
 
 
@@ -243,6 +243,47 @@ class TestXorShares:
             xor_split(0, 0, 0, 2, SeededRng(1))
 
 
+ATTACK_FAMILIES = [explicit_single_bit_family(), walsh_family(2), build_family(random_family(2, 2, SeededRng(3)))]
+
+
+def _reference_attack(family, db, r, trials, rng):
+    """The attack as it was written with one share object per trial, built on public names."""
+    m = family.m
+    bases = [invert_basis(family, g) for g in range(2)]
+    laws, decodes = {}, {}
+    successes = 0
+    for t in range(trials):
+        stream = rng.derive(t)
+        shares = xor_split(db.items[0], db.items[1], r, m, stream)
+        recovered = []
+        for pair in shares.pairs:
+            i = int(stream.gen.integers(2))
+            guess = int(stream.gen.integers(2))
+            if i != guess:
+                break
+            if (i, pair) not in laws:
+                state = protocol.vendor_encode(DatabaseState(2, m, pair), family, i)
+                laws[i, pair] = np.cumsum(protocol.outcome_distribution(state, bases[i]))
+            outcome = protocol.draw_outcome(laws[i, pair], stream)
+            if (i, outcome) not in decodes:
+                d = int(np.argmax(protocol.posterior(bases[i], family, i, outcome)))
+                decodes[i, outcome] = tuple(protocol.item_blocks(d, 2, m))
+            recovered.append(decodes[i, outcome])
+        else:
+            assert xor_reconstruct(XorShares(r, m, tuple(recovered))) == db.items
+            successes += 1
+    freq, expected = successes / trials, 2.0 ** (-r)
+    sigma = float(np.sqrt(expected * (1 - expected) / trials))
+    return {
+        "r": r,
+        "trials": trials,
+        "frequency": freq,
+        "expected": expected,
+        "sigma": sigma,
+        "within_3_sigma": bool(abs(freq - expected) <= 3 * sigma),
+    }
+
+
 class TestGuessAttack:
     def test_rate_tracks_two_to_minus_r(self):
         fam = walsh_family(2)
@@ -293,6 +334,44 @@ class TestGuessAttack:
     def test_trials_above_the_cap_refused_before_any_draw(self):
         with pytest.raises(ValueError, match=f"trials >= 1 and <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
             xor_guess_attack(explicit_single_bit_family(), DatabaseState(2, 1, (1, 0)), 1, MAX_TRIALS + 1, _NoDraws())
+
+    @pytest.mark.parametrize(
+        "family, db",
+        [
+            (walsh_family(2), DatabaseState(2, 1, (1, 0))),
+            (explicit_single_bit_family(), DatabaseState(2, 2, (3, 1))),
+        ],
+        ids=["m2-family-m1-db", "m1-family-m2-db"],
+    )
+    def test_database_of_another_m_refused_before_any_draw(self, family, db):
+        with pytest.raises(ValueError, match=f"database has m = {db.m}, the family m = {family.m}"):
+            xor_guess_attack(family, db, 2, 10, _NoDraws())
+
+    def test_zero_rounds_refused_before_any_draw(self):
+        with pytest.raises(ValueError, match="r >= 1"):
+            xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 0, 10, _NoDraws())
+
+    @pytest.mark.parametrize("family", ATTACK_FAMILIES, ids=["explicit", "walsh2", "random2"])
+    def test_matches_the_share_object_reference(self, family):
+        # 3 item pairs x 4 r x 3 seeds x 3 streams per family, 324 cases over the three
+        top = (1 << family.m) - 1
+        for items in ((0, 1), (1, 1), (top, 0)):
+            db = DatabaseState(2, family.m, items)
+            for r in range(1, 5):
+                for seed in (0, 9, 2**63 + 11):
+                    for stream in (0, 5, 2**64 - 1):
+                        ref = _reference_attack(family, db, r, 400, SeededRng(seed, stream))
+                        assert xor_guess_attack(family, db, r, 400, SeededRng(seed, stream)) == ref
+
+    def test_builds_no_share_object_and_splits_through_one_helper(self, monkeypatch):
+        built, splits = [], []
+        post_init, share_pairs = XorShares.__post_init__, hardening._share_pairs
+        monkeypatch.setattr(XorShares, "__post_init__", lambda self: built.append(self.r) or post_init(self))
+        monkeypatch.setattr(hardening, "_share_pairs", lambda *a: splits.append(a[2]) or share_pairs(*a))
+        xor_split(2, 1, 3, 2, SeededRng(1))
+        assert built == [3] and splits == [3]  # the spies see xor_split
+        xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 3, 50, SeededRng(11))
+        assert built == [3] and splits == [3] * 51
 
 
 class TestMaskedSession:

@@ -96,10 +96,11 @@ def test_detector_flags_each_import_form():
 
 
 POOL_NAMES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+RNG_NAMES = {"SeedSequence", "Philox", "Generator", "default_rng"}
 
 
-def pool_names(source: str) -> list:
-    """(line, name) for every import or use of an executor class in the source."""
+def named_uses(source: str, wanted: set) -> list:
+    """(line, name) for every import or use of a name in `wanted` in the source."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -110,7 +111,7 @@ def pool_names(source: str) -> list:
             names = [node.attr]
         else:
             continue
-        hits += [(node.lineno, name) for name in names if name in POOL_NAMES]
+        hits += [(node.lineno, name) for name in names if name in wanted]
     return sorted(hits)
 
 
@@ -119,7 +120,7 @@ def test_only_qmath_owns_a_pool():
         f"{path.name}:{line} names {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "qmath"
-        for line, name in pool_names(path.read_text())
+        for line, name in named_uses(path.read_text(), POOL_NAMES)
     ]
     assert found == []
 
@@ -135,7 +136,32 @@ def test_pool_detector_flags_each_form():
             "executor = None  # the word alone is no pool",
         ]
     )
-    assert pool_names(source) == [(1, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "ThreadPoolExecutor")]
+    assert named_uses(source, POOL_NAMES) == [(1, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "ThreadPoolExecutor")]
+
+
+def test_only_qmath_builds_a_random_stream():
+    # every stream is a SeededRng, Philox keyed (seed, stream); nothing else seeds a generator
+    found = [
+        f"{path.name}:{line} names {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "qmath"
+        for line, name in named_uses(path.read_text(), RNG_NAMES)
+    ]
+    assert found == []
+
+
+def test_rng_detector_flags_each_form():
+    source = "\n".join(
+        [
+            "from numpy.random import default_rng as rng",
+            "import numpy as np",
+            "def f(seed):",
+            "    bits = np.random.Philox(np.random.SeedSequence(seed))",
+            "    return np.random.Generator(bits), rng(seed)",
+            "generator = None  # the word alone is no stream",
+        ]
+    )
+    assert named_uses(source, RNG_NAMES) == [(1, "default_rng"), (4, "Philox"), (4, "SeedSequence"), (5, "Generator")]
 
 
 def _mub_encoders(k, m):

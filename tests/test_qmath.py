@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import obliq
+from obliq import qmath
 from obliq.encodings import ItemBasisFamily, walsh_family
 from obliq.qmath import (
     SeededRng,
@@ -467,6 +468,27 @@ class TestSeededRng:
         assert SeededRng(5).derive(7).stream == SeededRng(5).derive(7).stream
         assert SeededRng(5).derive(7).stream != SeededRng(5).derive(8).stream
 
+    @pytest.mark.parametrize(
+        "rng",
+        [SeededRng(0, 0), SeededRng(2**64 - 1, 2**64 - 1), SeededRng(5, 99).derive(2)],
+        ids=["zero", "max", "derived"],
+    )
+    def test_state_is_the_key_at_counter_zero(self, rng):
+        state = rng.gen.bit_generator.state
+        assert state["bit_generator"] == "Philox"
+        assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert state["state"]["key"].tolist() == [rng.seed, rng.stream]
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+        assert not isinstance(rng.gen.bit_generator.seed_seq, np.random.SeedSequence)
+
+    @pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)])
+    def test_key_helper_refuses_any_other_request(self, request_):
+        # Philox asks for two uint64 words; if numpy ever asks for more, every stream would change
+        key = qmath._PhiloxKey(5, 7)
+        assert key.generate_state(2, np.uint64).tolist() == [5, 7]
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(*request_)
+
     def test_no_system_entropy_is_read(self, monkeypatch):
         import secrets
 
@@ -477,6 +499,7 @@ class TestSeededRng:
 
         monkeypatch.setattr(secrets, "randbits", refuse)
         monkeypatch.setattr(bit_generator, "randbits", refuse)  # numpy's own binding of it
+        monkeypatch.setattr(os, "urandom", refuse)
         rng = SeededRng(5, 99)
         # pinned figures: the draws of Philox keyed (seed, stream) with a zero counter
         assert rng.gen.random(3).tolist() == [0.45095144440054125, 0.7847740811344686, 0.8225749167351668]
