@@ -246,7 +246,7 @@ def cmd_session(args) -> int:
         ]
     rounds = [run_session(d, family, strategy, stream, mask=mask) for d, stream in sessions]
     if args.r == 1:
-        doc = rounds[0].to_dict()
+        doc = rounds[0].document()
     else:
         decoded = None
         if args.strategy == "honest":
@@ -259,7 +259,7 @@ def cmd_session(args) -> int:
             "k": args.k,
             "m": args.m,
             "xor_rounds": args.r,
-            "rounds": [tr.to_dict() for tr in rounds],
+            "rounds": [tr.document() for tr in rounds],
             "decoded": decoded,
             "seed": [rng.seed, rng.stream],
         }

@@ -38,9 +38,9 @@ VALID_KINDS = ("walsh", "mub", "cyclic", "random", "tensorized", "explicit")
 MAX_KM = 12
 MAX_DENSE_DIM = 1 << MAX_KM
 # A share-split session holds every round's transcript until it writes them,
-# each with a posterior of up to MAX_DENSE_DIM floats.  At that size a round
-# costs about 0.3 MB (the floats, their dict copy and their JSON text), so
-# `session --r 256` peaks near 115 MB.
+# each with a float64 posterior of up to MAX_DENSE_DIM entries.  At that size
+# a round costs about 0.18 MB (the 32 KB array, its JSON text and its part of
+# the written document), so `session --r 256` peaks near 84 MB.
 MAX_SHARE_ROUNDS = 256
 # A sampled audit lists its chunks before the first one runs, and the POVM
 # audit runs its trials serially; 10^6 is ten times the largest default

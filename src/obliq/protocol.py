@@ -8,12 +8,11 @@ structurally, so no decoding path can peek at the announcement early.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
-from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
 
 import numpy as np
 
@@ -386,9 +385,14 @@ class TranscriptBuilder:
         return list(self._events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionTranscript:
-    """One full protocol session, serializable to the versioned JSON schema."""
+    """One full protocol session, serializable to the versioned JSON schema.
+
+    `posterior` is the read-only float64 array `posterior()` returned, up to
+    the bytes `to_json` writes.  As an array has no single truth value,
+    transcripts compare by identity; `to_json()` compares their contents.
+    """
 
     k: int
     m: int
@@ -397,11 +401,12 @@ class SessionTranscript:
     events: tuple
     outcome: int
     announced: int
-    posterior: tuple
+    posterior: np.ndarray
     decoded: dict
     seed: tuple
 
-    def to_dict(self) -> dict:
+    def document(self) -> dict:
+        """The transcript document with the posterior array itself, for `transcript_json`."""
         return {
             "version": TRANSCRIPT_VERSION,
             "k": self.k,
@@ -411,13 +416,17 @@ class SessionTranscript:
             "events": list(self.events),
             "outcome": self.outcome,
             "announced": self.announced,
-            "posterior": list(self.posterior),
+            "posterior": self.posterior,
             "decoded": self.decoded,
             "seed": list(self.seed),
         }
 
+    def to_dict(self) -> dict:
+        """`document()` made JSON-ready: the posterior as a list of plain floats."""
+        return dict(self.document(), posterior=self.posterior.tolist())
+
     def to_json(self) -> str:
-        return transcript_json(self.to_dict())
+        return transcript_json(self.document())
 
 
 # ---------------------------------------------------------------------------
@@ -426,60 +435,51 @@ class SessionTranscript:
 # Posteriors shorter than this go to json.dumps: at 512 entries of 0 and 1 the
 # two writers take about the same time, and below it json.dumps is faster.
 _SHARED_REPR_MIN = 512
-# A posterior is judged on its first _HEAD nonzero entries.  Structured
-# posteriors (mub, walsh, cyclic, explicit) repeat one value 2^-t there;
-# random and tensorized ones show 10 to 16 distinct values, and with that
-# many json.dumps's compact C writer is as fast as shared reprs.
+# Compact output judges a posterior on its first _HEAD nonzero entries: mub,
+# walsh, cyclic and explicit ones repeat one 2^-t there, random and tensorized
+# ones show 10 to 16 values, and then json.dumps's C writer is as fast.  The
+# indented json.dumps runs in Python, so there every long posterior shares reprs.
 _HEAD = 16
-_SLOT = "\x00posterior\x00"  # stands in for each posterior list in the skeleton
+_SLOT = "\x00posterior\x00"  # stands in for each posterior in the skeleton
 
 
 def transcript_json(doc, indent=None) -> str:
-    """Exactly `json.dumps(doc, indent=indent, allow_nan=False)`, written sooner.
+    """Exactly `json.dumps(doc, indent=indent, allow_nan=False, default=np.ndarray.tolist)`, written sooner.
 
-    `doc` is a transcript (`SessionTranscript.to_dict`) or a share-split
-    document whose `rounds` are transcripts.  Each `posterior` list is
+    `doc` is a transcript (`SessionTranscript.document`) or a share-split
+    document whose `rounds` are transcripts.  Each `posterior` that is a 1-D
+    C-contiguous float64 array of `_SHARED_REPR_MIN` entries or more is
     written from its distinct values: `repr` runs once per IEEE bit pattern,
     so 0.0 and -0.0 stay apart, and each run of equal entries is one string
-    product.  The rest is dumped with every posterior swapped for a
-    placeholder, which is then spliced out.  A document goes to json.dumps
-    whole if a posterior is shorter than `_SHARED_REPR_MIN`, holds more
-    than `_HEAD // 4` distinct values among its first `_HEAD` nonzero
-    entries (random and tensorized families), holds an entry that is not a
-    float, or is not finite; json.dumps refuses NaN and infinity with
-    ValueError.  (An entry without a truth value, such as a numpy array,
-    raises ValueError where json.dumps raises TypeError.)
+    product; the rest is dumped with the posteriors swapped for placeholders,
+    which are then spliced out.  Any other posterior, a list included, sends
+    the document to json.dumps whole, as does a compact posterior with more
+    than `_HEAD // 4` distinct values among its first `_HEAD` nonzero entries
+    (random and tensorized families).  NaN and infinity raise ValueError.
     """
+    dumps = functools.partial(json.dumps, indent=indent, allow_nan=False, default=np.ndarray.tolist)
     posts = []
     skeleton = _stub_posteriors(doc, posts, 1) if isinstance(doc, dict) else doc
     step = " " * indent if isinstance(indent, int) else indent
     texts = []
     for values, level in posts:
         sep = ", " if step is None else ",\n" + step * (level + 1)
-        items = _posterior_items(values, sep)
+        items = _posterior_items(values, sep, step is None)
         if items is None:
-            return json.dumps(doc, indent=indent, allow_nan=False)
-        if step is not None:
-            items = f"\n{step * (level + 1)}{items}\n{step * level}"
-        texts.append(f"[{items}]")
-    parts = json.dumps(skeleton, indent=indent, allow_nan=False).split(json.dumps(_SLOT))
+            return dumps(doc)
+        texts.append(f"[{items}]" if step is None else f"[\n{step * (level + 1)}{items}\n{step * level}]")
+    parts = dumps(skeleton).split(json.dumps(_SLOT))
     if len(parts) != len(texts) + 1:  # the document itself holds the placeholder string
-        return json.dumps(doc, indent=indent, allow_nan=False)
-    out = [parts[0]]
-    for text, part in zip(texts, parts[1:]):
-        out += (text, part)
-    return "".join(out)
+        return dumps(doc)
+    return "".join([piece for pair in zip(parts, texts + [""]) for piece in pair])
 
 
 def _stub_posteriors(holder: dict, posts: list, level: int) -> dict:
-    """`holder` with each non-empty posterior list swapped for `_SLOT`.
-
-    Appends (list, nesting level) to `posts` in document order; the level is
-    1 in a transcript and 3 in a round of a share-split document.
-    """
+    """`holder` with each posterior swapped for `_SLOT`, appended to `posts` in document order
+    with its nesting level: 1 in a transcript, 3 in a round of a share-split document."""
     out = {}
     for key, value in holder.items():
-        if key == "posterior" and isinstance(value, list) and value:
+        if key == "posterior":
             posts.append((value, level))
             value = _SLOT
         elif key == "rounds" and level == 1 and isinstance(value, list):
@@ -488,17 +488,14 @@ def _stub_posteriors(holder: dict, posts: list, level: int) -> dict:
     return out
 
 
-def _posterior_items(values: list, sep: str):
-    """`sep.join(map(float.__repr__, values))`, or None where json.dumps should write them."""
-    n = len(values)
-    if n < _SHARED_REPR_MIN:
+def _posterior_items(values, sep: str, head_rule: bool):
+    """`sep.join(map(float.__repr__, values.tolist()))`, or None where json.dumps should write `values`."""
+    if not (type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1
+            and values.flags.c_contiguous and values.size >= _SHARED_REPR_MIN):
         return None
-    head = list(islice(filter(None, values), _HEAD))
-    if not all(map(isinstance, head, repeat(float))) or len(set(head)) > _HEAD // 4:
+    if head_rule and len(set(values[np.flatnonzero(values)[:_HEAD]].tolist())) > _HEAD // 4:
         return None
-    if not all(map(isinstance, values, repeat(float))):
-        return None
-    bits = np.frombuffer(array("d", values), dtype=np.uint64)
+    bits = values.view(np.uint64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     run_bits = bits[starts]
     keys = run_bits.tolist()
@@ -507,7 +504,7 @@ def _posterior_items(values: list, sep: str):
     if not all(map(math.isfinite, distinct.values())):
         return None
     pieces = {b: repr(v) + sep for b, v in distinct.items()}
-    runs = map(operator.mul, map(pieces.__getitem__, keys), np.diff(starts, append=n).tolist())
+    runs = map(operator.mul, map(pieces.__getitem__, keys), np.diff(starts, append=bits.size).tolist())
     return "".join(runs)[: -len(sep)]
 
 
@@ -520,6 +517,7 @@ def run_session(
 ) -> SessionTranscript:
     """Execute encode -> transmit -> measure -> announce -> decode.
 
+    The transcript keeps the array `posterior` returned, made read-only.
     With a GF(2^m) `mask` (a `hardening.GfMask`, k = 2 only) the vendor
     encodes the masked items, the announcement carries the mask and the
     decode inverts it.
@@ -546,6 +544,7 @@ def run_session(
     announced = builder.announce(extra)
 
     post = posterior(strategy, family, announced, outcome)
+    post.setflags(write=False)
     decoded = _decode(strategy, family, outcome, announced, post, mask)
     builder.record_decoded(decoded)
 
@@ -557,7 +556,7 @@ def run_session(
         events=tuple(builder.events),
         outcome=outcome,
         announced=announced,
-        posterior=tuple(post.tolist()),
+        posterior=post,
         decoded=decoded,
         seed=(rng.seed, rng.stream),
     )

@@ -154,6 +154,24 @@ class TestSession:
         if code == EXIT_OK:
             assert len(json.loads(out)["rounds"]) == r
 
+    def test_most_share_rounds_at_n_4096_peak_below_100_mb(self, tmp_path):
+        # every round's posterior is held until the document is written; as
+        # float64 arrays 256 rounds at n = 4096 peaked near 84 MB on the
+        # reference box, where tuples of Python floats peaked near 127 MB.
+        # A fresh wrapper process reads its one child's ru_maxrss (in KiB).
+        argv = ["session", "--k", "2", "--m", "6", "--family", "mub", "--db", "0",
+                "--r", str(MAX_SHARE_ROUNDS), "--seed", "1", "--out", str(tmp_path / "t.json")]
+        wrapper = (
+            "import resource, subprocess, sys; "
+            "subprocess.run([sys.executable, '-m', 'obliq.cli', *sys.argv[1:]], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(obliq.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", wrapper, *argv], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        peak_mb = int(proc.stdout) / 1024
+        assert peak_mb < 100, f"session --r {MAX_SHARE_ROUNDS} peaked at {peak_mb:.1f} MB"
+
     def test_parity_strategy(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code, _, _ = run(

@@ -30,6 +30,7 @@ MANIFEST = Path(__file__).with_name("golden.json")
 COMMANDS = [
     "obliq demo --db 01 --choice 0 --seed 7",
     "obliq session --k 3 --m 4 --family mub --db 2C9 --choice 2 --seed 11 --out t.json",
+    "obliq session --k 3 --m 4 --family tensorized --tensor-r 4 --db 2C9 --choice 2 --seed 11 --out t.json",
     "obliq session --family explicit --db 3 --choice 1 --r 3 --seed 13 --out t.json",
     "obliq session --k 2 --m 3 --family walsh --db 2A --mask --seed 12 --out t.json",
     "obliq verify --suite entropic --trials 100000 --seed 3",

@@ -1,5 +1,6 @@
 """Session engine: encoding, measurement, Bayes, decoding, transcripts."""
 
+import builtins
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import obliq
+from obliq import cli, protocol
 from obliq.analysis import _objective, _stacked_encoders
 from obliq.encodings import (
     build_family,
@@ -500,22 +502,51 @@ def _assert_writes_as_json_dumps(doc, indent):
 
     (pytest's own diff of two long near-equal strings can take minutes.)
     """
-    got, want = transcript_json(doc, indent), json.dumps(doc, indent=indent, allow_nan=False)
+    got = transcript_json(doc, indent)
+    want = json.dumps(doc, indent=indent, allow_nan=False, default=np.ndarray.tolist)
     if got != want:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         pytest.fail(f"indent={indent!r}: differs at character {at}: {got[at - 30:at + 30]!r} "
                     f"against {want[at - 30:at + 30]!r}")
 
 
+def _read_only(values) -> np.ndarray:
+    """`values` as a read-only float64 array, as `run_session` keeps a posterior."""
+    post = np.array(values, dtype=np.float64)
+    post.setflags(write=False)
+    return post
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# arrays the shared-repr path must leave to json.dumps: another dtype, a
+# strided view, two axes, a subclass and the other byte order
+FALLBACK_ARRAYS = {
+    "float32": lambda v: v.astype(np.float32),
+    "strided": lambda v: np.repeat(v, 2)[::2],
+    "2-d": lambda v: v.reshape(2, -1),
+    "subclass": lambda v: v.view(_Subclass),
+    "big-endian": lambda v: v.astype(">f8"),
+}
+
+
 class TestTranscriptJson:
-    """transcript_json against json.dumps(..., allow_nan=False), byte for byte."""
+    """transcript_json against json.dumps(..., allow_nan=False, default=np.ndarray.tolist), byte for byte."""
 
     @settings(max_examples=120, deadline=None)
-    @given(first=float_lists(), second=float_lists())
-    @example(first=[0.0] * 300 + [-0.0] * 300, second=[-0.0, 0.0] * 300)
-    @example(first=[5e-324] * 700 + [1e308] * 10, second=[2.0**-12] * 4096)
-    @example(first=[0.5] * 16 + [i / 7 for i in range(1, 1000)], second=[0.0] * 4095 + [1.0])
-    def test_equals_json_dumps(self, transcript_doc, first, second):
+    @given(first=float_lists(), second=float_lists(), arrays=st.tuples(st.booleans(), st.booleans()))
+    @example(first=[0.0] * 300 + [-0.0] * 300, second=[-0.0, 0.0] * 300, arrays=(False, False))
+    @example(first=[5e-324] * 700 + [1e308] * 10, second=[2.0**-12] * 4096, arrays=(False, False))
+    @example(first=[0.5] * 16 + [i / 7 for i in range(1, 1000)], second=[0.0] * 4095 + [1.0], arrays=(False, False))
+    @example(first=[0.0] * 300 + [-0.0] * 300, second=[-0.0, 0.0] * 300, arrays=(True, True))
+    @example(first=[5e-324] * 700 + [-5e-324] * 10 + [1e-310] * 90, second=[2.0**-12] * 4096, arrays=(True, False))
+    @example(first=[0.5] * 16 + [i / 7 for i in range(1, 1000)], second=[0.0] * 4095 + [1.0], arrays=(True, True))
+    def test_equals_json_dumps(self, transcript_doc, first, second, arrays):
+        # each posterior is a list or a read-only float64 array, so a rounds
+        # document may mix the two
+        first, second = (_read_only(v) if a else v for v, a in zip((first, second), arrays))
         for doc in (dict(transcript_doc, posterior=first), _rounds_doc(transcript_doc, (first, second))):
             for indent in (None, 2):
                 _assert_writes_as_json_dumps(doc, indent)
@@ -524,10 +555,11 @@ class TestTranscriptJson:
     @pytest.mark.parametrize("n", [4, 4096])
     @pytest.mark.parametrize("indent", [None, 2])
     def test_non_finite_values_raise(self, transcript_doc, bad, n, indent):
-        values = [0.0] * (n - 1) + [bad]
-        for doc in (dict(transcript_doc, posterior=values), _rounds_doc(transcript_doc, ([0.0] * n, values))):
-            with pytest.raises(ValueError):
-                transcript_json(doc, indent)
+        for values in ([0.0] * (n - 1) + [bad], _read_only([0.0] * (n - 1) + [bad])):
+            for doc in (dict(transcript_doc, posterior=values), _rounds_doc(transcript_doc, ([0.0] * n, values)),
+                        _rounds_doc(transcript_doc, (_read_only([0.0] * n), values))):
+                with pytest.raises(ValueError):
+                    transcript_json(doc, indent)
 
     @pytest.mark.parametrize(
         "values",
@@ -540,27 +572,154 @@ class TestTranscriptJson:
             _assert_writes_as_json_dumps(doc, indent)
 
     def test_a_document_holding_the_placeholder(self, transcript_doc):
-        doc = dict(transcript_doc, prior=_SLOT, posterior=[0.0] * 1024)
-        for indent in (None, 2):
-            _assert_writes_as_json_dumps(doc, indent)
+        for post in ([0.0] * 1024, _read_only([0.0] * 1024)):
+            for doc in (dict(transcript_doc, prior=_SLOT, posterior=post),
+                        _rounds_doc(dict(transcript_doc, prior=_SLOT), (post, post))):
+                for indent in (None, 2):
+                    _assert_writes_as_json_dumps(doc, indent)
+
+    @pytest.mark.parametrize("make", FALLBACK_ARRAYS.values(), ids=FALLBACK_ARRAYS)
+    def test_arrays_that_fall_back(self, transcript_doc, make):
+        values = make(_read_only([0.0] * 1000 + [2.0**-3] * 24))
+        for head_rule in (True, False):
+            assert _posterior_items(values, ", ", head_rule) is None
+        for doc in (dict(transcript_doc, posterior=values), _rounds_doc(transcript_doc, (_read_only([0.5] * 600), values))):
+            for indent in (None, 2):
+                _assert_writes_as_json_dumps(doc, indent)
 
     def test_which_posteriors_share_reprs(self):
         # mub(3,4) honest and invert posteriors hold 0 and 2^-t only; random
         # ones show many distinct values among their first nonzero entries
-        # and go to json.dumps, as do short lists.  Only those first entries
-        # decide.
+        # and go to json.dumps in compact output, but share reprs under
+        # indent.  Short arrays and any list go to json.dumps.  Only those
+        # first entries decide.
         db = DatabaseState.from_index(0x5A3, 3, 4)
         fam = build_family(mub_family(3, 4))
         for basis in (honest_basis(fam, 2), invert_basis(fam, 1)):
             for seed in range(3):
-                assert _posterior_items(list(run_session(db, fam, basis, SeededRng(seed)).posterior), ", ")
+                post = run_session(db, fam, basis, SeededRng(seed)).posterior
+                assert _posterior_items(post, ", ", True)
+                assert _posterior_items(post.tolist(), ", ", True) is None
         fam = build_family(random_family(3, 4, SeededRng(5)))
         for seed in range(3):
-            assert _posterior_items(list(run_session(db, fam, honest_basis(fam, 2), SeededRng(seed)).posterior), ", ") is None
-        assert _posterior_items([0.0] * (_SHARED_REPR_MIN - 1), ", ") is None
-        assert _posterior_items([0.0] * 100 + np.linspace(0, 1, 1000).tolist(), ", ") is None
-        assert _posterior_items([0.0] * 4095 + [1.0], ", ") is not None
-        assert _posterior_items([0.5] * _HEAD + np.linspace(0, 1, 1000).tolist(), ", ") is not None
+            post = run_session(db, fam, honest_basis(fam, 2), SeededRng(seed)).posterior
+            assert _posterior_items(post, ", ", True) is None
+            assert _posterior_items(post, ",\n  ", False) == ",\n  ".join(map(repr, post.tolist()))
+        assert _posterior_items(_read_only([0.0] * (_SHARED_REPR_MIN - 1)), ", ", False) is None
+        assert _posterior_items(_read_only([0.0] * 100 + np.linspace(0, 1, 1000).tolist()), ", ", True) is None
+        assert _posterior_items(_read_only([0.0] * 4095 + [1.0]), ", ", True) is not None
+        assert _posterior_items(_read_only([0.5] * _HEAD + np.linspace(0, 1, 1000).tolist()), ", ", True) is not None
+
+
+class TestTranscriptPosterior:
+    """A transcript keeps the posterior as the read-only array `posterior()` returns, up to its bytes."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        fam = build_family(mub_family(3, 4))
+        db = DatabaseState.from_index(0x2C9, 3, 4)
+        return [(fam, basis, run_session(db, fam, basis, SeededRng(seed)))
+                for basis in (honest_basis(fam, 2), invert_basis(fam, 1)) for seed in (11, 12)]
+
+    def test_posterior_is_read_only_and_exact(self, sessions):
+        for fam, basis, tr in sessions:
+            post = tr.posterior
+            assert type(post) is np.ndarray and post.dtype == np.float64 and post.flags.c_contiguous
+            assert not post.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                post[0] = 1.0
+            want = posterior(basis, fam, tr.announced, tr.outcome)
+            assert post.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_to_dict_is_plain_json(self, sessions):
+        for _, _, tr in sessions:
+            doc = tr.to_dict()
+            assert type(doc["posterior"]) is list and all(type(v) is float for v in doc["posterior"])
+            assert json.dumps(doc, allow_nan=False) == tr.to_json()
+            assert doc == dict(tr.document(), posterior=doc["posterior"])
+
+    def test_transcripts_compare_by_identity(self, sessions):
+        (_, _, a), (_, _, b) = sessions[:2]
+        assert a == a and not a != a
+        assert a != b and not a == b
+        again = run_session(DatabaseState.from_index(0x2C9, 3, 4), sessions[0][0], sessions[0][1], SeededRng(11))
+        assert again != a and again.to_json() == a.to_json()
+
+
+class TestWriterGetsTheArray:
+    """The write path hands `_posterior_items` each posterior array itself and never lists it."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        made, handed, listed = [], [], []
+        real_posterior, real_items = protocol.posterior, protocol._posterior_items
+
+        def spy_posterior(*args):
+            post = real_posterior(*args)
+            made.append(post)
+            return post
+
+        def spy_items(values, sep, head_rule):
+            handed.append(values)
+            return real_items(values, sep, head_rule)
+
+        def guard(kind):
+            """A stand-in for the builtin `kind` that notes when a posterior is passed to it."""
+            base = getattr(builtins, kind)
+
+            class Guard(type):
+                def __instancecheck__(cls, obj):
+                    return isinstance(obj, base)
+
+                def __call__(cls, values=()):
+                    if any(values is post for post in made):
+                        listed.append(kind)
+                    return base(values)
+
+            return Guard(kind, (), {})
+
+        def on_call(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "tolist":
+                if any(getattr(arg, "__self__", None) is post for post in made):
+                    listed.append("tolist")
+
+        monkeypatch.setattr(protocol, "posterior", spy_posterior)
+        monkeypatch.setattr(protocol, "_posterior_items", spy_items)
+        for module in (protocol, cli):
+            for kind in ("list", "tuple"):
+                monkeypatch.setattr(module, kind, guard(kind), raising=False)
+        sys.setprofile(on_call)
+        yield made, handed, listed
+        sys.setprofile(None)
+
+    def test_to_json(self, spied):
+        made, handed, listed = spied
+        fam = build_family(mub_family(3, 4))
+        tr = run_session(DatabaseState.from_index(0x2C9, 3, 4), fam, honest_basis(fam, 2), SeededRng(11))
+        text = tr.to_json()
+        sys.setprofile(None)
+        assert made == [tr.posterior] and handed[0] is tr.posterior and len(handed) == 1
+        assert listed == []
+        assert json.loads(text)["posterior"] == tr.posterior.tolist()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--k", "3", "--m", "4", "--family", "mub", "--db", "2C9", "--choice", "2"],
+         ["--k", "3", "--m", "4", "--family", "tensorized", "--tensor-r", "4", "--db", "2C9", "--choice", "2"],
+         ["--k", "2", "--m", "5", "--family", "mub", "--db", "3A1", "--r", "3"]],
+        ids=["mub", "tensorized", "rounds"],
+    )
+    def test_session_command(self, spied, argv, tmp_path):
+        made, handed, listed = spied
+        out = tmp_path / "t.json"
+        assert cli.main(["session", *argv, "--seed", "11", "--out", str(out)]) == 0
+        sys.setprofile(None)
+        assert len(made) == len(handed) == (3 if "--r" in argv else 1)
+        assert all(h is m for h, m in zip(handed, made))
+        assert listed == []
+        doc = json.loads(out.read_text())
+        posts = [r["posterior"] for r in doc["rounds"]] if "rounds" in doc else [doc["posterior"]]
+        assert posts == [m.tolist() for m in made]
 
 
 # the kinds whose item bases are certified pairwise unbiased at build
