@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,13 +66,7 @@ class BoundReport:
     parameters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "min_slack": self.min_slack,
-            "violations": self.violations,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), allow_nan=False)

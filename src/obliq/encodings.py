@@ -206,6 +206,15 @@ class EncodingFamily:
         columns = [f.T for f in self.factors(i)]
         return qmath.kron_row(columns, qmath.rotate_blocks(d, self.k, self.m, i))
 
+    def encode_slots(self, i: int, d: int) -> tuple:
+        """Column d of E_i as its k product slots: slot r is A_{(i+r) mod k}[:, c_r], c = P_i d."""
+        self._check_dense()
+        if not 0 <= d < self.n:
+            raise ValueError(f"configuration index {d} out of range")
+        factors, mask = self.factors(i), (1 << self.m) - 1
+        c = qmath.rotate_blocks(d, self.k, self.m, i)
+        return tuple(f[:, c >> (self.m * (self.k - 1 - r)) & mask] for r, f in enumerate(factors))
+
     def vec_times_encoder(self, vec: np.ndarray, i: int) -> np.ndarray:
         """Row-vector product vec @ E_i via the Kronecker structure; P_i rotates its axes."""
         self._check_dense()
@@ -219,10 +228,7 @@ class EncodingFamily:
         if self.basis.tensor_block is not None:
             desc["r"] = self.basis.tensor_block
         if self.kind in ("explicit", "random"):
-            desc["matrices"] = [
-                [[[float(z.real), float(z.imag)] for z in row] for row in a]
-                for a in self.basis.matrices
-            ]
+            desc["matrices"] = [np.stack([a.real, a.imag], axis=-1).tolist() for a in self.basis.matrices]
         return desc
 
 

@@ -68,36 +68,40 @@ class XorShares:
             raise ValueError("share splitting needs r >= 1")
         if len(self.pairs) != self.r:
             raise ValueError("pair count does not match r")
-        limit = 1 << self.m
         pairs = tuple((int(x), int(y)) for x, y in self.pairs)
-        for x, y in pairs:
-            if not (0 <= x < limit and 0 <= y < limit):
-                raise ValueError("share value out of range")
+        if not all(0 <= v < 1 << self.m for pair in pairs for v in pair):
+            raise ValueError("share value out of range")
         object.__setattr__(self, "pairs", pairs)
 
 
-def _share_pairs(d0: int, d1: int, r: int, m: int, gen) -> list:
-    """r-1 uniform pairs drawn from `gen`, then the pair that closes the XOR folds on (d0, d1)."""
-    pairs = [(int(gen.integers(1 << m)), int(gen.integers(1 << m))) for _ in range(r - 1)]
-    for s0, s1 in pairs:
-        d0, d1 = d0 ^ s0, d1 ^ s1
-    return pairs + [(d0, d1)]
+def _share_pairs(items, shares: np.ndarray) -> np.ndarray:
+    """The uniform share pairs `shares`, shape (..., r-1, 2), then the pair closing their XOR folds on `items`."""
+    closing = np.bitwise_xor.reduce(shares, axis=-2) ^ np.asarray(items, dtype=np.int64)
+    return np.concatenate([shares, closing[..., None, :]], axis=-2)
 
 
 def xor_split(d0: int, d1: int, r: int, m: int, rng: SeededRng) -> XorShares:
     """Split (d0, d1) into r share pairs: r-1 uniform pairs plus a closing pair."""
     if not (0 <= d0 < 1 << m and 0 <= d1 < 1 << m):
         raise ValueError("item value out of range")
-    return XorShares(r=r, m=m, pairs=tuple(_share_pairs(d0, d1, r, m, rng.gen)))
+    shares = np.array([rng.gen.integers(1 << m) for _ in range(2 * r - 2)], np.int64).reshape(r - 1, 2)
+    return XorShares(r=r, m=m, pairs=tuple(_share_pairs((d0, d1), shares).tolist()))
 
 
 def xor_reconstruct(shares: XorShares) -> tuple:
     """Fold the share pairs back into (d0, d1)."""
-    d0, d1 = 0, 0
-    for s0, s1 in shares.pairs:
-        d0 ^= s0
-        d1 ^= s1
-    return d0, d1
+    return tuple(np.bitwise_xor.reduce(np.array(shares.pairs, dtype=np.int64)).tolist())
+
+
+def _trial_draws(words: np.ndarray, r: int, m: int) -> tuple:
+    """Each trial's draws, in its Generator's order, from the first 3r-1 words of its stream (one row each).
+
+    Shares (trials, r-1, 2) are integers(2^m) from the low, then high half of a word; per round
+    (i, guess) (trials, r, 2) are integers(2) from the next word's halves, and random() from one word.
+    """
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=-1).astype(np.int64)
+    uniforms = (words[:, r::2] >> np.uint64(11)).astype(float) * 2.0**-53
+    return halves[:, : r - 1] >> (32 - m), halves[:, r - 1 :: 2] >> 31, uniforms
 
 
 def xor_guess_attack(
@@ -109,9 +113,9 @@ def xor_guess_attack(
     a matched guess pins that round's share pair exactly, a mismatch leaves
     it uniform.  Recovery of both items therefore requires matching every
     round, and then the XOR fold of the decoded pairs must be the database.
-    Trial t draws the shares as `xor_split` does from rng.derive(t), then
-    per round the index, the guess and, on a match, the outcome.  Every
-    argument is checked before the first draw.
+    Trial t draws from rng.derive(t) the shares as `xor_split` does, then per
+    round the index, the guess and, on a match, the outcome, read in blocks
+    by `child_words`.  Every argument is checked before the first draw.
     """
     if family.k != 2 or db.k != 2:
         raise ValueError("the share-splitting attack model is for k=2")
@@ -120,32 +124,28 @@ def xor_guess_attack(
     if r < 1:
         raise ValueError("share splitting needs r >= 1")
     check_trials(trials)
-    m = family.m
+    m, n, words = family.m, family.n, 3 * r - 1
+    step = max(1, (1 << 16) // words)  # trials per block: at most 2^16 words in hand, whatever trials and r
     bases = [invert_basis(family, g) for g in range(2)]
-    # made once per call: a matched round's outcome law depends only on (i, pair), its decode on (i, outcome)
-    laws, decodes = {}, {}
-    successes = 0
-    for t in range(trials):
-        stream = rng.derive(t)
-        d0, d1 = 0, 0
-        for pair in _share_pairs(*db.items, r, m, stream.gen):
-            i = int(stream.gen.integers(2))
-            guess = int(stream.gen.integers(2))
-            if i != guess:
-                break
-            if (i, pair) not in laws:
-                state = protocol.vendor_encode(DatabaseState(2, m, pair), family, i)
-                laws[i, pair] = np.cumsum(protocol.outcome_distribution(state, bases[i]))
-            outcome = protocol.draw_outcome(laws[i, pair], stream)
-            if (i, outcome) not in decodes:
-                d = int(np.argmax(protocol.posterior(bases[i], family, i, outcome)))
-                decodes[i, outcome] = tuple(protocol.item_blocks(d, 2, m))
-            s0, s1 = decodes[i, outcome]
-            d0, d1 = d0 ^ s0, d1 ^ s1
-        else:  # every round's guess matched
-            if (d0, d1) != db.items:
-                raise BoundViolation("matched guesses must reconstruct the database")
-            successes += 1
+    # one law per (i, pair) and one decode per (i, outcome) in the whole call, each keyed i * n + index
+    laws, decoded, successes = {}, np.full(2 * n, -1), 0
+    for start in range(0, trials, step):
+        shares, rounds, uniforms = _trial_draws(rng.child_words(range(start, min(start + step, trials)), words), r, m)
+        won = (rounds[..., 0] == rounds[..., 1]).all(axis=1)  # every round's guess matched
+        pairs, i, u = _share_pairs(db.items, shares[won]), rounds[won, :, 0], uniforms[won]
+        keys = i * n + (pairs[..., 0] << m | pairs[..., 1])
+        outcomes = np.empty_like(keys)
+        for key in dict.fromkeys(keys.ravel().tolist()):
+            if key not in laws:
+                laws[key] = np.cumsum(protocol.outcome_law(family.encode_slots(key // n, key % n), bases[key // n]))
+            at = keys == key
+            outcomes[at] = np.minimum(np.searchsorted(laws[key], u[at], side="right"), n - 1)
+        keys = i * n + outcomes
+        for key in set(keys[decoded[keys] < 0].tolist()):
+            decoded[key] = np.argmax(protocol.posterior(bases[key // n], family, key // n, key % n))
+        if (np.bitwise_xor.reduce(decoded[keys], axis=1) != db.config_index).any():
+            raise BoundViolation("matched guesses must reconstruct the database")
+        successes += int(won.sum())
     freq = successes / trials
     expected = 2.0 ** (-r)
     sigma = float(np.sqrt(expected * (1 - expected) / trials))

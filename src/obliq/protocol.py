@@ -191,6 +191,19 @@ def outcome_distribution(state: np.ndarray, basis: MeasurementBasis) -> np.ndarr
     return p / p.sum()
 
 
+def outcome_law(slots, basis: MeasurementBasis) -> np.ndarray:
+    """`outcome_distribution` of the product state with slot columns `slots`, measured slot by slot.
+
+    The outer product of the slot laws |B_r s_r|^2, the basis rotation as an axis permutation, one
+    normalization.  It sees only the state, never the encoding index.
+    """
+    if [s.size for s in slots] != [f.shape[0] for f in basis.factors]:
+        raise ValueError("the slots do not match the basis factors")
+    p = functools.reduce(np.multiply.outer, [np.abs(f @ s) ** 2 for f, s in zip(basis.factors, slots)])
+    p = p.transpose([(a - basis.rotation) % p.ndim for a in range(p.ndim)]).reshape(-1)
+    return p / p.sum()
+
+
 def sample_outcome(state: np.ndarray, basis: MeasurementBasis, rng: SeededRng) -> int:
     """Draw one outcome index from the measurement distribution."""
     return draw_outcome(np.cumsum(outcome_distribution(state, basis)), rng)
@@ -517,10 +530,11 @@ def run_session(
 ) -> SessionTranscript:
     """Execute encode -> transmit -> measure -> announce -> decode.
 
-    The transcript keeps the array `posterior` returned, made read-only.
-    With a GF(2^m) `mask` (a `hardening.GfMask`, k = 2 only) the vendor
-    encodes the masked items, the announcement carries the mask and the
-    decode inverts it.
+    A basis of several 2^m factors (honest, invert) measures the product state slot by slot
+    (`encode_slots`, `outcome_law`); parity and dense bases take `vendor_encode`.  The transcript
+    keeps the array `posterior` returned, made read-only.  With a GF(2^m) `mask` (a
+    `hardening.GfMask`, k = 2 only) the vendor encodes the masked items, the announcement carries
+    the mask and the decode inverts it.
     """
     if mask is not None:
         if family.k != 2 or db.k != 2:
@@ -530,14 +544,20 @@ def run_session(
         db = DatabaseState(db.k, db.m, tuple(mask.apply(v) for v in db.items))
     if strategy.dim != family.n:
         raise ValueError("strategy dimension does not match the family")
+    if db.k != family.k or db.m != family.m:
+        raise ValueError("database shape does not match the family")
     i = int(rng.gen.integers(family.k))
 
     builder = TranscriptBuilder(secret_encoding=i)
-    state = vendor_encode(db, family, i)
+    slotted = len(strategy.factors) > 1 and all(f.shape[0] == 1 << family.m for f in strategy.factors)
+    state = family.encode_slots(i, db.config_index) if slotted else vendor_encode(db, family, i)
     builder.record_state_sent(family.n)
 
     # the measurement step sees only the state, never the encoding index
-    outcome = sample_outcome(state, strategy, rng)
+    if slotted:
+        outcome = draw_outcome(np.cumsum(outcome_law(state, strategy)), rng)
+    else:
+        outcome = sample_outcome(state, strategy, rng)
     builder.record_measurement(strategy.label(), outcome)
 
     extra = {"mask": mask.payload()} if mask is not None else None

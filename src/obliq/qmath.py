@@ -30,7 +30,7 @@ class BoundViolation(AssertionError):
     """A computed quantity broke a proven bound (the CLI's exit code 2)."""
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):  # a Python int, or a uint64 array whose products wrap mod 2^64
     x = (x + _GOLDEN) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -67,6 +67,16 @@ class SeededRng:
         """Child stream number `index` of this stream."""
         mixed = _splitmix64(self.stream ^ ((int(index) + 1) * _GOLDEN & _MASK64))
         return SeededRng(self.seed, mixed)
+
+    def child_words(self, children: range, words: int) -> np.ndarray:
+        """The first `words` raw Philox words of each child stream in `children`, one uint64 row per child.
+
+        A Generator draws integers(2^j), j <= 32, as the top j bits of a word's 32-bit halves, low
+        half first, and random() as (w >> 11) * 2^-53.
+        """
+        index = np.arange(children.start, children.stop, children.step, dtype=np.uint64) + 1
+        streams = _splitmix64(self.stream ^ index * np.uint64(_GOLDEN)).tolist()
+        return np.stack([np.random.Philox(_PhiloxKey(self.seed, s)).random_raw(words) for s in streams])
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"

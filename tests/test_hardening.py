@@ -284,6 +284,29 @@ def _reference_attack(family, db, r, trials, rng):
     }
 
 
+class TestTrialDraws:
+    @pytest.mark.parametrize("seed, stream", [(s, t) for s in (0, 9, 2**63 + 11) for t in (0, 5, 2**64 - 1)])
+    def test_word_decode_is_the_generators_draw_order(self, seed, stream):
+        # the attack reads its draws from raw Philox words; each must be the value the
+        # trial's Generator draws: the shares, then per round i, guess and the outcome uniform
+        rng, trials = SeededRng(seed, stream), 6
+        for m in range(1, 7):
+            for r in range(1, 6):
+                shares, rounds, uniforms = hardening._trial_draws(rng.child_words(range(trials), 3 * r - 1), r, m)
+                for t in range(trials):
+                    gen = rng.derive(t).gen
+                    drawn = [[int(gen.integers(1 << m)), int(gen.integers(1 << m))] for _ in range(r - 1)]
+                    drawn_rounds, drawn_u = [], []
+                    for _ in range(r):
+                        drawn_rounds.append([int(gen.integers(2)), int(gen.integers(2))])
+                        drawn_u.append(gen.random())
+                    got = (shares[t].tolist(), rounds[t].tolist(), uniforms[t].tolist())
+                    assert got == (drawn, drawn_rounds, drawn_u), (
+                        f"numpy {np.__version__}: Philox word decode differs from Generator draws "
+                        f"at m={m}, r={r}, trial {t}"
+                    )
+
+
 class TestGuessAttack:
     def test_rate_tracks_two_to_minus_r(self):
         fam = walsh_family(2)
@@ -305,9 +328,9 @@ class TestGuessAttack:
         # one encode per distinct (announced i, share pair), one posterior per
         # distinct (i, outcome), however many trials reach them
         fam = walsh_family(2)
-        column, post = fam.encode_column, protocol.posterior
+        slots, post = fam.encode_slots, protocol.posterior
         encodes, decodes = [], []
-        monkeypatch.setattr(fam, "encode_column", lambda i, d: encodes.append((i, d)) or column(i, d))
+        monkeypatch.setattr(fam, "encode_slots", lambda i, d: encodes.append((i, d)) or slots(i, d))
         monkeypatch.setattr(
             protocol, "posterior", lambda basis, f, i, j: decodes.append((i, j)) or post(basis, f, i, j)
         )
@@ -317,11 +340,34 @@ class TestGuessAttack:
         assert decodes and len(decodes) == len(set(decodes))
         assert len(encodes) <= 2 * 16 and len(decodes) <= 2 * 16
 
+    def test_trials_read_in_blocks_match_the_reference(self, monkeypatch):
+        # r = 5 reads 14 words a trial, so 9500 trials take three blocks of at most 2^16 words;
+        # laws and decodes are still made once per call, not once per block
+        fam, db = explicit_single_bit_family(), DatabaseState(2, 1, (1, 0))
+        words, slots, encodes = SeededRng.child_words, fam.encode_slots, []
+        blocks = []
+        monkeypatch.setattr(SeededRng, "child_words", lambda self, c, w: blocks.append((c, w)) or words(self, c, w))
+        monkeypatch.setattr(fam, "encode_slots", lambda i, d: encodes.append((i, d)) or slots(i, d))
+        rep = xor_guess_attack(fam, db, 5, 9500, SeededRng(4, 8))
+        assert [(c.start, c.stop) for c, _ in blocks] == [(0, 4681), (4681, 9362), (9362, 9500)]
+        assert all(len(c) * w <= 1 << 16 for c, w in blocks)
+        assert encodes and len(encodes) == len(set(encodes))
+        monkeypatch.undo()
+        assert rep == _reference_attack(fam, db, 5, 9500, SeededRng(4, 8))
+
     def test_failed_reconstruction_is_a_bound_violation(self, monkeypatch):
         fam = walsh_family(2)
-        column = fam.encode_column
+        slots = fam.encode_slots
         # corrupt: the vendor sends the state of a neighbouring configuration
-        monkeypatch.setattr(fam, "encode_column", lambda i, d: column(i, d ^ 1))
+        monkeypatch.setattr(fam, "encode_slots", lambda i, d: slots(i, d ^ 1))
+        with pytest.raises(BoundViolation, match="reconstruct"):
+            xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
+
+    def test_one_failed_reconstruction_among_sound_ones_is_a_bound_violation(self, monkeypatch):
+        fam = walsh_family(2)
+        slots = fam.encode_slots
+        # corrupt only the states sent under encoding 0; trials announced 1 still reconstruct
+        monkeypatch.setattr(fam, "encode_slots", lambda i, d: slots(i, d ^ 1 if i == 0 else d))
         with pytest.raises(BoundViolation, match="reconstruct"):
             xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
 
@@ -367,11 +413,14 @@ class TestGuessAttack:
         built, splits = [], []
         post_init, share_pairs = XorShares.__post_init__, hardening._share_pairs
         monkeypatch.setattr(XorShares, "__post_init__", lambda self: built.append(self.r) or post_init(self))
-        monkeypatch.setattr(hardening, "_share_pairs", lambda *a: splits.append(a[2]) or share_pairs(*a))
+        monkeypatch.setattr(
+            hardening, "_share_pairs", lambda items, shares: splits.append(shares.shape[-2] + 1) or share_pairs(items, shares)
+        )
         xor_split(2, 1, 3, 2, SeededRng(1))
         assert built == [3] and splits == [3]  # the spies see xor_split
+        # the attack closes every winning trial's shares in one call of the same helper
         xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 3, 50, SeededRng(11))
-        assert built == [3] and splits == [3] * 51
+        assert built == [3] and splits == [3, 3]
 
 
 class TestMaskedSession:

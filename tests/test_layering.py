@@ -1,10 +1,10 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
 only `qmath` owns a worker pool, each chunked audit enters it once and Haar
-sampling never does, importing obliq loads no scipy, and a per-slot posterior
-applies no Kronecker chain.  Every name `obliq` exports has a reader outside
-the unit tests.  The benchmark contract: the span tracer in perfbench/
-installs and uninstalls cleanly, and every obliq name the workloads read
-exists."""
+sampling never does, importing obliq loads no scipy, a per-slot posterior
+applies no Kronecker chain and a product session forms no n-entry state.
+Every name `obliq` exports has a reader outside the unit tests.  The
+benchmark contract: the span tracer in perfbench/ installs and uninstalls
+cleanly, and every obliq name the workloads read exists."""
 
 import ast
 import importlib
@@ -17,9 +17,17 @@ from pathlib import Path
 import pytest
 
 import obliq
-from obliq import analysis, qmath
-from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, random_family
-from obliq.protocol import honest_basis, invert_basis, parity_basis, posterior
+from obliq import analysis, cli, protocol, qmath
+from obliq.encodings import (
+    EncodingFamily,
+    build_family,
+    explicit_single_bit_family,
+    mub_family,
+    random_family,
+    walsh_family,
+)
+from obliq.hardening import GfMask, masked_session, xor_guess_attack
+from obliq.protocol import DatabaseState, honest_basis, invert_basis, parity_basis, posterior, run_session
 
 PACKAGE = Path(obliq.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -274,10 +282,10 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.split() == ["[]"]
 
 
-def spy_chain_calls(monkeypatch) -> list:
-    """Record every call of `EncodingFamily.vec_times_encoder` and `qmath.kron_apply` by name."""
+def spy_calls(monkeypatch, targets) -> list:
+    """Record every call of each (owner, name) in `targets` by name."""
     calls = []
-    for owner, name in ((EncodingFamily, "vec_times_encoder"), (qmath, "kron_apply")):
+    for owner, name in targets:
         real = getattr(owner, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -286,6 +294,11 @@ def spy_chain_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def spy_chain_calls(monkeypatch) -> list:
+    """Record every call of `EncodingFamily.vec_times_encoder` and `qmath.kron_apply` by name."""
+    return spy_calls(monkeypatch, ((EncodingFamily, "vec_times_encoder"), (qmath, "kron_apply")))
 
 
 def test_slot_posteriors_apply_no_kronecker_chain(monkeypatch):
@@ -297,6 +310,37 @@ def test_slot_posteriors_apply_no_kronecker_chain(monkeypatch):
                 for i in range(fam.k):
                     posterior(basis, fam, i, fam.n - 3)
     assert calls == []
+
+
+def spy_state_calls(monkeypatch) -> list:
+    """Record every call of the n-entry state path: kron_apply, encode_column and vendor_encode."""
+    return spy_calls(monkeypatch, ((qmath, "kron_apply"), (EncodingFamily, "encode_column"), (protocol, "vendor_encode")))
+
+
+def test_product_sessions_form_no_n_entry_state(monkeypatch, tmp_path):
+    # honest, invert and masked sessions, the CLI's sessions and the XOR attack measure slot by slot
+    families = [build_family(mub_family(3, 4)), build_family(random_family(2, 3, qmath.SeededRng(5)))]
+    calls = spy_state_calls(monkeypatch)
+    for fam in families:
+        db = DatabaseState(fam.k, fam.m, (1,) * fam.k)
+        for index in range(fam.k):
+            for basis in (honest_basis(fam, index), invert_basis(fam, index)):
+                for seed in range(4):
+                    run_session(db, fam, basis, qmath.SeededRng(seed))
+    walsh = walsh_family(2)
+    masked_session(DatabaseState(2, 2, (2, 1)), walsh, GfMask(2, 3, 1), honest_basis(walsh, 1), qmath.SeededRng(3))
+    xor_guess_attack(walsh, DatabaseState(2, 2, (2, 1)), 3, 200, qmath.SeededRng(11))
+    for flags in (["--k", "3", "--m", "2", "--family", "mub", "--db", "2D"], ["--db", "2", "--r", "3", "--mask"],
+                  ["--db", "1", "--strategy", "invert", "--guess", "1"]):
+        assert cli.main(["session", *flags, "--seed", "4", "--out", str(tmp_path / "t.json")]) == 0
+    assert calls == []
+
+
+def test_state_spy_catches_the_parity_session(monkeypatch):
+    fam = explicit_single_bit_family()
+    calls = spy_state_calls(monkeypatch)
+    run_session(DatabaseState(2, 1, (1, 0)), fam, parity_basis(), qmath.SeededRng(2))
+    assert calls == ["vendor_encode", "encode_column", "kron_apply", "kron_apply"]
 
 
 def test_chain_spy_catches_the_parity_path(monkeypatch):

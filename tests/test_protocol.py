@@ -1,6 +1,7 @@
 """Session engine: encoding, measurement, Bayes, decoding, transcripts."""
 
 import builtins
+import functools
 import hashlib
 import json
 import os
@@ -38,6 +39,7 @@ from obliq.protocol import (
     invert_basis,
     item_blocks,
     outcome_distribution,
+    outcome_law,
     parity_basis,
     posterior,
     run_session,
@@ -759,6 +761,71 @@ class TestSlotPosterior:
     def test_basis_of_another_dimension_is_refused(self, explicit):
         with pytest.raises(ValueError, match="dimension mismatch"):
             posterior(honest_basis(walsh_family(2), 0), explicit, 0, 0)
+
+
+# every (kind, k, m, r) with km <= 12; mub with k >= 4 is the Galois-ring construction
+LAW_CELLS = (
+    [("explicit", 2, 1, None)]
+    + [("walsh", 2, m, None) for m in range(1, 7)]
+    + [("cyclic", 3, m, None) for m in range(1, 5)]
+    + [("mub", k, m, None) for m in range(1, 7) for k in range(2, min(12 // m, (1 << m) + 1) + 1)]
+    + [("random", k, m, None) for m in range(1, 7) for k in range(2, 12 // m + 1)]
+    + [
+        ("tensorized", k, m, r)
+        for r, log_r in ((2, 1), (4, 2))
+        for m in range(log_r, 7, log_r)
+        for k in range(2, 12 // m + 1)
+    ]
+)
+
+
+class TestOutcomeLaw:
+    """The slot-by-slot outcome law against the law of the joined n-entry state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cell=st.sampled_from(LAW_CELLS), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_matches_the_joined_state(self, cell, seed, data):
+        kind, k, m, r = cell
+        fam = _round_trip_family(kind, k, m, r, SeededRng(seed, 1))
+        d = data.draw(st.integers(0, fam.n - 1))
+        db = DatabaseState.from_index(d, k, m)
+        bases = [make(fam, index) for make in (honest_basis, invert_basis) for index in range(k)]
+        for i in range(k):
+            slots = fam.encode_slots(i, d)
+            state = vendor_encode(db, fam, i)
+            np.testing.assert_array_equal(functools.reduce(np.multiply.outer, slots).reshape(-1), state)
+            for basis in bases:
+                assert np.abs(outcome_law(slots, basis) - outcome_distribution(state, basis)).max() <= 1e-15
+
+    def test_seeded_session_outcomes_match_the_state_path(self):
+        families = [
+            build_family(mub_family(3, 4)),
+            build_family(mub_family(4, 3)),
+            walsh_family(3),
+            build_family(random_family(2, 3, SeededRng(4, 1))),
+            build_family(tensorized_family(2, 4, 4, SeededRng(4, 2))),
+        ]
+        for fam in families:
+            db = DatabaseState(fam.k, fam.m, tuple(range(1, fam.k + 1)))
+            for index in range(fam.k):
+                for basis in (honest_basis(fam, index), invert_basis(fam, index)):
+                    for seed in range(12):
+                        rng = SeededRng(seed, 3)
+                        i = int(rng.gen.integers(fam.k))
+                        expected = sample_outcome(vendor_encode(db, fam, i), basis, rng)
+                        assert run_session(db, fam, basis, SeededRng(seed, 3)).outcome == expected
+
+    def test_slots_of_another_shape_are_refused(self, explicit):
+        slots = explicit.encode_slots(0, 2)
+        with pytest.raises(ValueError, match="do not match"):
+            outcome_law(slots[:1], honest_basis(explicit, 0))
+        with pytest.raises(ValueError, match="do not match"):
+            outcome_law(walsh_family(2).encode_slots(0, 2), honest_basis(explicit, 0))
+
+    def test_encode_slots_refuses_an_index_out_of_range(self, explicit):
+        for i, d in ((0, -1), (0, 4), (2, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                explicit.encode_slots(i, d)
 
 
 class TestExactPosteriors:

@@ -481,6 +481,17 @@ class TestSeededRng:
         assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
         assert not isinstance(rng.gen.bit_generator.seed_seq, np.random.SeedSequence)
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**63 + 11, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 5, 2**64 - 1])
+    def test_child_words_are_each_childs_raw_philox_words(self, seed, stream):
+        rng = SeededRng(seed, stream)
+        for children in (range(11), range(7, 12), range(3, 40, 9)):
+            for words in (1, 2, 3, 4, 5, 8, 9, 14):
+                block = rng.child_words(children, words)
+                assert block.dtype == np.uint64 and block.shape == (len(children), words)
+                expected = np.stack([rng.derive(t).gen.bit_generator.random_raw(words) for t in children])
+                np.testing.assert_array_equal(block, expected)
+
     @pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)])
     def test_key_helper_refuses_any_other_request(self, request_):
         # Philox asks for two uint64 words; if numpy ever asks for more, every stream would change
