@@ -63,7 +63,6 @@ from .protocol import (
     parity_basis,
     posterior,
     run_session,
-    sample_outcome,
     vendor_encode,
 )
 from .qmath import (

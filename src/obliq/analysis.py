@@ -31,7 +31,7 @@ from .encodings import (
 )
 from .povm import check_entropy_family, povm_entropy_bound_checks, random_povm
 from .protocol import MeasurementBasis, honest_basis, invert_basis, outcome_probs, slot_entropy, structured_items
-from .qmath import BoundViolation, SeededRng
+from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
 _CHUNK = 2048  # most trials in one audit chunk
 _CHUNK_ENTRIES = 1 << 18  # most complex entries a chunk's sampled matrices or states hold
@@ -95,7 +95,7 @@ def _uncertainty_slacks(dim: int, trials: int, stream: SeededRng) -> np.ndarray:
 def verify_theorem1(dim: int, trials: int, rng: SeededRng) -> BoundReport:
     """Randomized audit of the two-measurement entropic uncertainty bound.
 
-    Checks H2(Au) + H2(Bu) + 2 log2 Linf(A B^dag) >= -1e-9 over Haar pairs
+    Checks H2(Au) + H2(Bu) + 2 log2 Linf(A B^dag) >= -DEFAULT_TOL over Haar pairs
     (A, B) and Haar states u, plus the flat special case A = I, B = Walsh
     where the right side equals log2(dim) exactly.  Haar measure is invariant
     under multiplication by a fixed unitary (Mezzadri, math-ph/0609050), so
@@ -124,7 +124,7 @@ def verify_theorem1(dim: int, trials: int, rng: SeededRng) -> BoundReport:
         suite="entropic",
         trials=trials,
         min_slack=float(slack.min()),
-        violations=int((slack < -1e-9).sum()),
+        violations=qmath.count_violations(slack),
         parameters={"dim": dim, "haar_min_slack": haar_min, "hadamard_case": hadamard},
     )
 
@@ -153,7 +153,7 @@ def explore_condition_2prime(encoders, trials: int, rng: SeededRng) -> BoundRepo
     def chunk(count, sub):
         u = qmath.random_states(n, count, sub)
         total = sum(qmath.entropy_rows(np.abs(u if t is None else u @ t) ** 2) for t in transposed)
-        return float(total.min()), int((total < (k - 1) * log_n - 1e-9).sum())
+        return float(total.min()), qmath.count_violations(total - (k - 1) * log_n)
 
     lows, bads = zip(*_chunk_map(chunk, trials, _chunk_trials(n), rng.derive(0)))
     min_sum = min(lows)
@@ -201,7 +201,7 @@ class LeakageResult:
     best_restart: int = 0
 
     def __post_init__(self):
-        if self.best_gain > self.bound + 1e-6:
+        if self.best_gain - self.bound > DEFAULT_TOL:
             raise BoundViolation(f"gain {self.best_gain} exceeds the proven bound {self.bound}")
 
     @functools.cached_property
@@ -523,7 +523,7 @@ def projective_gain_audit(family: EncodingFamily, trials: int, rng: SeededRng) -
         h_sum = sum(qmath.entropy_rows(outcome_probs(mats, family, i)) for i in range(k))
         gains = log_n - h_sum / k  # per outcome
         slack = cap - gains
-        return float(slack.min()), int((slack < -1e-9).sum()), float(gains.mean(axis=1).max())
+        return float(slack.min()), qmath.count_violations(slack), float(gains.mean(axis=1).max())
 
     lows, bads, worsts = zip(*_chunk_map(chunk, trials, _chunk_trials(n * n), rng.derive(0)))
     return BoundReport(

@@ -33,7 +33,7 @@ from .encodings import (
     walsh_family,
 )
 from .protocol import DatabaseState, honest_basis, invert_basis, outcome_probs, parity_basis, run_session
-from .qmath import BoundViolation, SeededRng
+from .qmath import SUPPORT_EPS, BoundViolation, SeededRng, count_violations
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,7 +174,7 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 def _amplitude(z: complex) -> str:
-    if abs(z.imag) < 1e-12:
+    if abs(z.imag) < SUPPORT_EPS:
         return f"{z.real:+.4f}"
     return f"({z.real:+.4f}{z.imag:+.4f}i)"
 
@@ -191,7 +191,7 @@ def cmd_demo(args) -> int:
         print(f"  encoding {i}:")
         for d in range(4):
             state = protocol.vendor_encode(DatabaseState.from_index(d, 2, 1), family, i)
-            terms = "  ".join(f"{_amplitude(a)} {kets[idx]}" for idx, a in enumerate(state) if abs(a) > 1e-12)
+            terms = "  ".join(f"{_amplitude(a)} {kets[idx]}" for idx, a in enumerate(state) if abs(a) > SUPPORT_EPS)
             print(f"    db={d:02b}:  {terms}")
 
     print(f"\nDatabase is {db.items[0]}{db.items[1]}; honest measurement outcomes by choice:")
@@ -201,8 +201,8 @@ def cmd_demo(args) -> int:
         for i in range(2):
             state = protocol.vendor_encode(db, family, i)
             dist = protocol.outcome_distribution(state, basis)
-            outs = ", ".join(f"{idx:02b} w.p. {p:.2f}" for idx, p in enumerate(dist) if p > 1e-12)
-            decoded = {protocol.decode_item(idx, i, j, 2, 1) for idx, p in enumerate(dist) if p > 1e-12}
+            outs = ", ".join(f"{idx:02b} w.p. {p:.2f}" for idx, p in enumerate(dist) if p > SUPPORT_EPS)
+            decoded = {protocol.decode_item(idx, i, j, 2, 1) for idx, p in enumerate(dist) if p > SUPPORT_EPS}
             print(f"    encoding {i}: outcomes {outs}; all decode item {j} = {decoded.pop()}")
 
     rng = SeededRng(args.seed)
@@ -295,34 +295,17 @@ def _verify_one(suite: str, args, rng: SeededRng):
 
 
 def _honest_suite(rng: SeededRng) -> analysis.BoundReport:
-    """Exhaustive decode correctness plus unbiased-family honest privacy."""
-    violations = 0
-    checked = 0
-    grids = [(2, 1, "explicit"), (2, 2, "walsh"), (3, 1, "mub"), (3, 2, "mub")]
-    for k, m, kind in grids:
-        if kind == "explicit":
-            family = explicit_single_bit_family()
-        elif kind == "walsh":
-            family = walsh_family(m)
-        else:
-            family = build_family(mub_family(k, m))
-        violations += _completeness_violations(family)
-        checked += 1
-    leak_worst = 0.0
-    for m in (1, 2, 3):
-        for k in range(2, (1 << m) + 2):
-            family = build_family(mub_family(k, m))
-            for j in range(k):
-                leak = abs(protocol.honest_leakage(family, j))
-                leak_worst = max(leak_worst, leak)
-                if leak > 1e-9:
-                    violations += 1
+    """Exhaustive decode correctness plus unbiased-family honest privacy, whose slack is -|leakage|."""
+    checked = [explicit_single_bit_family(), walsh_family(2), build_family(mub_family(3, 1)),
+               build_family(mub_family(3, 2))]
+    unbiased = [build_family(mub_family(k, m)) for m in (1, 2, 3) for k in range(2, (1 << m) + 2)]
+    slack = -np.abs([protocol.honest_leakage(family, j) for family in unbiased for j in range(family.k)])
     return analysis.BoundReport(
         suite="honest",
-        trials=checked,
-        min_slack=-leak_worst,
-        violations=violations,
-        parameters={"worst_abs_leakage_bits": leak_worst},
+        trials=len(checked),
+        min_slack=float(slack.min()),
+        violations=sum(map(_completeness_violations, checked)) + count_violations(slack),
+        parameters={"worst_abs_leakage_bits": float(-slack.min())},
     )
 
 
@@ -336,7 +319,7 @@ def _completeness_violations(family) -> int:
             probs = outcome_probs(mat, family, i)
             decoded = protocol.decode_item(np.arange(n), i, j, k, m)
             items_j = protocol.item_blocks(np.arange(n), k, m)[j]
-            support = probs > 1e-18
+            support = probs > SUPPORT_EPS
             ok = decoded[:, None] == items_j[None, :]
             bad += int(np.logical_and(support, ~ok).sum())
     return bad

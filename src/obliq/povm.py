@@ -16,6 +16,10 @@ from . import qmath
 from .encodings import EncodingFamily
 from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
+_NORMALIZER_RTOL = 1e-12  # relative to s_j^2: |S_j E_i|^2 sums to 1 for unitary E_i, rounding moves it far less
+_MIN_TRACE = 1e-15  # below this Tr(R^dag R) an operator has no scale to normalize by
+_MIN_EIGENVALUE = 1e-12  # below this a completeness sum has no inverse square root to normalize with
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -57,7 +61,7 @@ def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
     prior, from the trace-normalized operators S_j = R_j / s_j with
     s_j^2 = Tr(R_j^dag R_j), one product S @ E_i per encoding for the whole
     stack.  Unitary invariance makes every |S_j E_i|^2 sum to 1; a deviation
-    beyond 1e-12 s_j^2 means the normalizer depends on the encoding choice.
+    beyond _NORMALIZER_RTOL s_j^2 means the normalizer depends on the encoding choice.
     Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
     """
     return _gain_account(p, [family.encoder(i) for i in range(family.k)])
@@ -67,12 +71,12 @@ def _gain_account(p: Povm, encoders: list) -> dict:
     """`povm_gain_account` against the dense encoders E_0..E_{k-1} of a family."""
     n = p.dim
     s2 = np.trace(p.operators.conj().transpose(0, 2, 1) @ p.operators, axis1=1, axis2=2).real
-    if (s2 < 1e-15).any():
+    if (s2 < _MIN_TRACE).any():
         raise ValueError("degenerate operator: Tr(R^dag R) ~ 0")
     s_ops = p.operators / np.sqrt(s2)[:, None, None]
     probs = np.stack([(np.abs(s_ops @ e) ** 2).sum(axis=1) for e in encoders], axis=1)
     sums = probs.sum(axis=2)
-    if (np.abs(sums - 1.0) * s2[:, None] > 1e-12 * np.maximum(1.0, s2)[:, None]).any():
+    if (np.abs(sums - 1.0) * s2[:, None] > _NORMALIZER_RTOL * np.maximum(1.0, s2)[:, None]).any():
         raise BoundViolation("normalizer varies with the encoding choice")
     posteriors = probs / sums[:, :, None]
     h_cond = qmath.entropy_rows(posteriors)
@@ -96,17 +100,12 @@ def check_entropy_family(family: EncodingFamily) -> None:
         raise ValueError("the audit requires a pairwise-unbiased family")
 
 
-def povm_entropy_bound_check(p: Povm, family: EncodingFamily) -> dict:
-    """Check H(P(.|j,0)) + H(P(.|j,1)) >= log n for every outcome of a k=2 family.
-
-    Returns the minimum slack over outcomes plus the gain summaries; a
-    negative slack beyond tolerance counts as a violation.
-    """
-    return next(povm_entropy_bound_checks([p], family))
-
-
 def povm_entropy_bound_checks(povms, family: EncodingFamily):
-    """`povm_entropy_bound_check` of each POVM in turn, with the family's two encoders built once."""
+    """Check H(P(.|j,0)) + H(P(.|j,1)) >= log n for every outcome of each POVM, against a k=2 family.
+
+    Yields, per POVM, the minimum slack over outcomes, the `count_violations` verdict and the gain
+    summaries; the family's two encoders are built once.
+    """
     check_entropy_family(family)
     encoders = [family.encoder(i) for i in range(2)]
     for p in povms:
@@ -115,7 +114,7 @@ def povm_entropy_bound_checks(povms, family: EncodingFamily):
         yield {
             "outcomes": len(p.operators),
             "min_slack_bits": float(slack.min()),
-            "violations": int((slack < -1e-9).sum()),
+            "violations": qmath.count_violations(slack),
             "gain_worst": account["gain_worst"],
             "gain_expected": account["gain_expected"],
         }
@@ -143,7 +142,7 @@ def random_povm(dim: int, n_ops: int, rng: SeededRng) -> Povm:
     total = (raw.conj().transpose(0, 2, 1) @ raw).sum(axis=0)
     total = (total + total.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(total)
-    if eigvals.min() <= 1e-12:
+    if eigvals.min() <= _MIN_EIGENVALUE:
         raise ValueError("degenerate completeness sum; try another stream")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
     return validate_povm(Povm(dim=dim, operators=raw @ inv_sqrt))

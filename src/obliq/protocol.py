@@ -18,10 +18,9 @@ import numpy as np
 
 from . import qmath
 from .encodings import EncodingFamily
-from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
+from .qmath import DEFAULT_TOL, SUPPORT_EPS, BoundViolation, SeededRng
 
 TRANSCRIPT_VERSION = 1
-_SUPPORT_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +203,6 @@ def outcome_law(slots, basis: MeasurementBasis) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_outcome(state: np.ndarray, basis: MeasurementBasis, rng: SeededRng) -> int:
-    """Draw one outcome index from the measurement distribution."""
-    return draw_outcome(np.cumsum(outcome_distribution(state, basis)), rng)
-
-
 def draw_outcome(cdf: np.ndarray, rng: SeededRng) -> int:
     """Draw one outcome index from a cumulative outcome distribution."""
     j = int(np.searchsorted(cdf, rng.gen.random(), side="right"))
@@ -255,10 +249,10 @@ def outcome_probs(mat: np.ndarray, family: EncodingFamily, i: int) -> np.ndarray
     """|M E_i|^2 for one measurement matrix M or a stack of them.
 
     Row j is P(d | outcome j, announced i) under the uniform prior, so by
-    unitarity every row sums to 1; a deviation beyond 1e-9 is a BoundViolation.
+    unitarity every row sums to 1; a deviation beyond DEFAULT_TOL is a BoundViolation.
     """
     probs = np.abs(mat @ family.encoder(i)) ** 2
-    if np.abs(probs.sum(axis=-1) - 1.0).max() > 1e-9:
+    if np.abs(probs.sum(axis=-1) - 1.0).max() > DEFAULT_TOL:
         raise BoundViolation("row sums deviate from 1; encoder not unitary?")
     return probs
 
@@ -530,11 +524,11 @@ def run_session(
 ) -> SessionTranscript:
     """Execute encode -> transmit -> measure -> announce -> decode.
 
-    A basis of several 2^m factors (honest, invert) measures the product state slot by slot
-    (`encode_slots`, `outcome_law`); parity and dense bases take `vendor_encode`.  The transcript
-    keeps the array `posterior` returned, made read-only.  With a GF(2^m) `mask` (a
-    `hardening.GfMask`, k = 2 only) the vendor encodes the masked items, the announcement carries
-    the mask and the decode inverts it.
+    Every basis measures the sent state slot by slot with `outcome_law`: a basis of k factors
+    (honest, invert) gets the k slot columns of `encode_slots`, and a one-factor basis (parity,
+    dense) the single slot `vendor_encode`.  The transcript keeps the array `posterior` returned,
+    made read-only.  With a GF(2^m) `mask` (a `hardening.GfMask`, k = 2 only) the vendor encodes
+    the masked items, the announcement carries the mask and the decode inverts it.
     """
     if mask is not None:
         if family.k != 2 or db.k != 2:
@@ -549,15 +543,14 @@ def run_session(
     i = int(rng.gen.integers(family.k))
 
     builder = TranscriptBuilder(secret_encoding=i)
-    slotted = len(strategy.factors) > 1 and all(f.shape[0] == 1 << family.m for f in strategy.factors)
-    state = family.encode_slots(i, db.config_index) if slotted else vendor_encode(db, family, i)
+    if len(strategy.factors) == 1:
+        slots = (vendor_encode(db, family, i),)
+    else:
+        slots = family.encode_slots(i, db.config_index)
     builder.record_state_sent(family.n)
 
     # the measurement step sees only the state, never the encoding index
-    if slotted:
-        outcome = draw_outcome(np.cumsum(outcome_law(state, strategy)), rng)
-    else:
-        outcome = sample_outcome(state, strategy, rng)
+    outcome = draw_outcome(np.cumsum(outcome_law(slots, strategy)), rng)
     builder.record_measurement(strategy.label(), outcome)
 
     extra = {"mask": mask.payload()} if mask is not None else None
@@ -591,7 +584,7 @@ def _decode(strategy, family, outcome, announced, post, mask):
     if strategy.kind == "invert":
         if announced == strategy.index:
             d = int(np.argmax(post))
-            if post[d] < 1.0 - 1e-9:
+            if post[d] < 1.0 - DEFAULT_TOL:
                 raise BoundViolation("matched invert guess should pin the configuration")
             raw_items = item_blocks(d, k, m)
             items = [int(mask.unmask(v)) if mask is not None else int(v) for v in raw_items]
@@ -601,7 +594,7 @@ def _decode(strategy, family, outcome, announced, post, mask):
             return {"kind": "config", "value": value, "items": items}
         return {"kind": "none"}
     if strategy.kind == "parity":
-        support = np.flatnonzero(np.asarray(post) > _SUPPORT_EPS)
+        support = np.flatnonzero(np.asarray(post) > SUPPORT_EPS)
         parities = {int(d >> 1 & 1) ^ int(d & 1) for d in support}
         if len(parities) == 1:
             return {"kind": "parity", "value": parities.pop()}

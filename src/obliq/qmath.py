@@ -7,7 +7,7 @@ Conventions shared by the whole package:
 * A database configuration index packs item 0 into the most significant
   m-bit block.
 * Entropies are base 2, with ``0 * log 0 == 0``.
-* Certification tolerance defaults to 1e-9 in max-entry norm.
+* Certification (in max-entry norm) and every proven-bound verdict use DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+# the one verdict tolerance: rounding in an entropy over n <= 4096 entries is far below it
 DEFAULT_TOL = 1e-9
+# a probability or amplitude above this is nonzero; rounding leaves probabilities near 1e-34 where 0 is exact
+SUPPORT_EPS = 1e-18
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,6 +31,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 class BoundViolation(AssertionError):
     """A computed quantity broke a proven bound (the CLI's exit code 2)."""
+
+
+def count_violations(slack) -> int:
+    """The verdict of every proven-bound audit: how many slacks fall below -DEFAULT_TOL."""
+    return int((slack < -DEFAULT_TOL).sum())
 
 
 def _splitmix64(x):  # a Python int, or a uint64 array whose products wrap mod 2^64

@@ -42,7 +42,7 @@ from obliq.encodings import (
     random_family,
     walsh_matrix,
 )
-from obliq.povm import povm_entropy_bound_check, random_povm
+from obliq.povm import povm_entropy_bound_checks, random_povm
 from obliq.protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
@@ -592,7 +592,7 @@ class TestMeasurementAudits:
         for t in range(30):  # the audit as a loop of one-POVM checks, each building its own encoders
             stream = SeededRng(8).derive(t)
             pv = random_povm(family.n, int(stream.gen.integers(2, 2 * family.n + 1)), stream)
-            reports.append(povm_entropy_bound_check(pv, family))
+            reports.append(next(povm_entropy_bound_checks([pv], family)))
         calls = []
         encoder = EncodingFamily.encoder
         monkeypatch.setattr(EncodingFamily, "encoder", lambda fam, i: calls.append(i) or encoder(fam, i))

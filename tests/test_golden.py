@@ -8,10 +8,18 @@ bytes, rewrite the manifest with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-so the diff shows which entries changed.
+so the diff shows which entries changed.  The last digits of some pinned
+floats depend on the OpenBLAS kernel that runs the QR and the matrix
+products, so a mismatch names numpy's version and that kernel, which
+
+    python tests/test_golden.py --env
+
+prints on its own.
 """
 
 import ast
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -58,6 +66,20 @@ USAGE_ERRORS = [
 ]
 
 
+def environment() -> str:
+    """numpy's version and the core OpenBLAS picked, read in process from numpy's bundled OpenBLAS."""
+    import numpy
+
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs",
+                                         "libscipy_openblas64_*.so")))
+    core = "unknown"
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"numpy {numpy.__version__} OpenBLAS core {core}"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -100,6 +122,8 @@ def test_ci_runs_the_roadmaps_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     runs = [step.get("run", "").strip() for job in workflow["jobs"].values() for step in job["steps"]]
     assert command in runs
+    # the environment the pinned outputs depend on is printed by the manifest's own reader
+    assert "python tests/test_golden.py --env" in runs
     # the job only reads the checkout, so its token gets no write scope
     assert workflow["permissions"] == {"contents": "read"}
     # the install takes the versions the manifest was made with, numpy pinned exactly
@@ -119,10 +143,17 @@ def test_usage_errors_include_the_benchmarks_malformed_commands():
     assert ["obliq " + " ".join(argv) for _, argv in malformed] == USAGE_ERRORS[:4]
 
 
+def test_env_mode_prints_numpy_and_the_openblas_core():
+    proc = subprocess.run([sys.executable, __file__, "--env"], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == environment() + "\n"
+    assert re.fullmatch(r"numpy \S+ OpenBLAS core \S+\n", proc.stdout)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_matches_the_manifest(command, threads, tmp_path):
-    assert run(command, threads, tmp_path)[0] == json.loads(MANIFEST.read_text())[command]
+    expected = json.loads(MANIFEST.read_text())[command]
+    assert run(command, threads, tmp_path)[0] == expected, f"under {environment()}"
 
 
 @pytest.mark.parametrize("command", USAGE_ERRORS)
@@ -134,8 +165,11 @@ def test_usage_error_matches_the_manifest(command, tmp_path):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--env"]:
+        print(environment())
+        sys.exit()
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+        sys.exit("usage: python tests/test_golden.py --env | PYTHONPATH=src python tests/test_golden.py --write")
     manifest = {}
     for command in COMMANDS + USAGE_ERRORS:
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,8 @@
 """Module layering: no obliq module reads a `_`-prefixed name of a sibling module,
 only `qmath` owns a worker pool, each chunked audit enters it once and Haar
-sampling never does, importing obliq loads no scipy, a per-slot posterior
-applies no Kronecker chain and a product session forms no n-entry state.
+sampling never does, importing obliq loads no scipy, no comparison spells a
+tolerance as a literal, a per-slot posterior applies no Kronecker chain and a
+product session forms no n-entry state.
 Every name `obliq` exports has a reader outside the unit tests.  The
 benchmark contract: the span tracer in perfbench/ installs and uninstalls
 cleanly, and every obliq name the workloads read exists."""
@@ -282,6 +283,46 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.split() == ["[]"]
 
 
+# ---------------------------------------------------------------------------
+# tolerances: every comparison names its threshold (qmath.DEFAULT_TOL, qmath.SUPPORT_EPS or a named guard)
+
+
+def tolerance_literals(source: str) -> list:
+    """(line, value) for every float literal of magnitude in (0, 1e-3) inside a comparison."""
+    return sorted(
+        (node.lineno, node.value)
+        for compare in ast.walk(ast.parse(source))
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < abs(node.value) < 1e-3
+    )
+
+
+def test_no_comparison_spells_a_tolerance_as_a_literal():
+    found = [
+        f"{path.name}:{line} compares against {value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, value in tolerance_literals(path.read_text())
+    ]
+    assert found == []
+
+
+def test_tolerance_detector_flags_each_form():
+    source = "\n".join(
+        [
+            "a = slack < -1e-9",
+            "b = [p for p in q if p > 1e-12]",
+            "if x.max() > bound + 1e-6:",
+            "    pass",
+            "c = post[d] < 1.0 - 1e-9 < 2",
+            "d = e > 1e-3 or f < 0.0 or g < 0 or h > 0.5",
+            "i = max(j, 1e-12)",
+            "k = TOL < 1e-4j",
+        ]
+    )
+    assert tolerance_literals(source) == [(1, 1e-9), (2, 1e-12), (3, 1e-6), (5, 1e-9)]
+
+
 def spy_calls(monkeypatch, targets) -> list:
     """Record every call of each (owner, name) in `targets` by name."""
     calls = []
@@ -340,7 +381,7 @@ def test_state_spy_catches_the_parity_session(monkeypatch):
     fam = explicit_single_bit_family()
     calls = spy_state_calls(monkeypatch)
     run_session(DatabaseState(2, 1, (1, 0)), fam, parity_basis(), qmath.SeededRng(2))
-    assert calls == ["vendor_encode", "encode_column", "kron_apply", "kron_apply"]
+    assert calls == ["vendor_encode", "encode_column", "kron_apply"]
 
 
 def test_chain_spy_catches_the_parity_path(monkeypatch):

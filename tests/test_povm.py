@@ -6,12 +6,12 @@ import pytest
 from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_family
 from obliq.povm import (
     Povm,
-    povm_entropy_bound_check,
+    povm_entropy_bound_checks,
     povm_gain_account,
     random_povm,
     validate_povm,
 )
-from obliq.protocol import MeasurementBasis, honest_basis, outcome_distribution, posterior, sample_outcome
+from obliq.protocol import MeasurementBasis, draw_outcome, honest_basis, outcome_distribution, posterior
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, random_states
 
 S = np.sqrt(0.5)
@@ -116,7 +116,7 @@ class TestMeasurePovm:
         post = p.operators[2] @ psi / np.sqrt(probs[2])
         np.testing.assert_allclose(np.abs(post), np.abs(psi), atol=1e-12)
         assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
-        assert sample_outcome(psi, basis, SeededRng(5)) == 2
+        assert draw_outcome(np.cumsum(outcome_distribution(psi, basis)), SeededRng(5)) == 2
 
     def test_plus_state_split(self):
         basis = custom_basis(np.eye(2))
@@ -124,8 +124,9 @@ class TestMeasurePovm:
         np.testing.assert_allclose(_outcome_law(povm_from_basis(basis), psi), [0.5, 0.5], atol=1e-12)
         counts = [0, 0]
         root = SeededRng(12)
+        cdf = np.cumsum(outcome_distribution(psi, basis))
         for t in range(2000):
-            counts[sample_outcome(psi, basis, root.derive(t))] += 1
+            counts[draw_outcome(cdf, root.derive(t))] += 1
         sigma = np.sqrt(0.25 / 2000)
         assert abs(counts[0] / 2000 - 0.5) < 3 * sigma
 
@@ -304,14 +305,14 @@ class TestEntropyBound:
     def test_projective_honest_equality(self):
         fam = walsh_family(2)
         p = povm_from_basis(honest_basis(fam, 0))
-        rep = povm_entropy_bound_check(p, fam)
+        rep = next(povm_entropy_bound_checks([p], fam))
         # each conditional entropy is exactly m, so the sum is 2m = log n
         assert rep["min_slack_bits"] == pytest.approx(0.0, abs=1e-9)
         assert rep["violations"] == 0
 
     def test_uniform_operators_maximal_slack(self, explicit):
         p = Povm(dim=4, operators=(np.eye(4) / 2, np.eye(4) / 2))
-        rep = povm_entropy_bound_check(p, explicit)
+        rep = next(povm_entropy_bound_checks([p], explicit))
         assert rep["min_slack_bits"] == pytest.approx(2.0, abs=1e-9)
 
     def test_randomized_audit(self, explicit):
@@ -319,7 +320,7 @@ class TestEntropyBound:
         for t in range(60):
             n_ops = int(root.derive(t).gen.integers(2, 9))
             p = random_povm(4, n_ops, root.derive(1000 + t))
-            rep = povm_entropy_bound_check(p, explicit)
+            rep = next(povm_entropy_bound_checks([p], explicit))
             assert rep["violations"] == 0
             assert rep["gain_expected"] <= 1.0 + 1e-9
 
@@ -329,7 +330,7 @@ class TestEntropyBound:
         for t in range(30):
             n_ops = int(root.derive(t).gen.integers(2, 33))
             p = random_povm(16, n_ops, root.derive(2000 + t))
-            rep = povm_entropy_bound_check(p, fam)
+            rep = next(povm_entropy_bound_checks([p], fam))
             assert rep["violations"] == 0
             assert rep["gain_expected"] <= 2.0 + 1e-9
 

@@ -33,6 +33,7 @@ from obliq.protocol import (
     SessionOrderError,
     TranscriptBuilder,
     decode_item,
+    draw_outcome,
     honest_basis,
     honest_leakage,
     info_account,
@@ -43,7 +44,6 @@ from obliq.protocol import (
     parity_basis,
     posterior,
     run_session,
-    sample_outcome,
     slot_entropy,
     transcript_json,
     vendor_encode,
@@ -119,21 +119,24 @@ class TestSampling:
     def test_point_mass_any_seed(self, explicit):
         e1 = np.zeros(4, dtype=complex)
         e1[1] = 1
+        cdf = np.cumsum(outcome_distribution(e1, custom_basis(np.eye(4))))
         for seed in (1, 2, 3):
-            assert sample_outcome(e1, custom_basis(np.eye(4)), SeededRng(seed)) == 1
+            assert draw_outcome(cdf, SeededRng(seed)) == 1
 
     def test_reproducible(self, explicit):
         state = vendor_encode(DatabaseState(2, 1, (0, 1)), explicit, 0)
         basis = honest_basis(explicit, 0)
-        a = sample_outcome(state, basis, SeededRng(42))
-        b = sample_outcome(state, basis, SeededRng(42))
+        cdf = np.cumsum(outcome_distribution(state, basis))
+        a = draw_outcome(cdf, SeededRng(42))
+        b = draw_outcome(cdf, SeededRng(42))
         assert a == b
 
     def test_uniform_frequencies(self, explicit):
         state = vendor_encode(DatabaseState(2, 1, (0, 1)), explicit, 0)
         basis = honest_basis(explicit, 0)
         rng = SeededRng(7)
-        draws = [sample_outcome(state, basis, rng.derive(t)) for t in range(10_000)]
+        cdf = np.cumsum(outcome_distribution(state, basis))
+        draws = [draw_outcome(cdf, rng.derive(t)) for t in range(10_000)]
         freq = np.mean(np.array(draws) == 0)
         sigma = np.sqrt(0.25 / 10_000)
         assert abs(freq - 0.5) < 3 * sigma
@@ -812,7 +815,7 @@ class TestOutcomeLaw:
                     for seed in range(12):
                         rng = SeededRng(seed, 3)
                         i = int(rng.gen.integers(fam.k))
-                        expected = sample_outcome(vendor_encode(db, fam, i), basis, rng)
+                        expected = draw_outcome(np.cumsum(outcome_distribution(vendor_encode(db, fam, i), basis)), rng)
                         assert run_session(db, fam, basis, SeededRng(seed, 3)).outcome == expected
 
     def test_slots_of_another_shape_are_refused(self, explicit):
