@@ -290,11 +290,11 @@ def _verify_one(suite: str, args, rng: SeededRng):
             encs = [family.factors(i) for i in range(family.k)]
         reports.append(analysis.explore_condition_2prime(encs, trials, rng.derive(0)))
     else:  # honest
-        reports.append(_honest_suite(rng))
+        reports.append(_honest_suite())
     return reports
 
 
-def _honest_suite(rng: SeededRng) -> analysis.BoundReport:
+def _honest_suite() -> analysis.BoundReport:
     """Exhaustive decode correctness plus unbiased-family honest privacy, whose slack is -|leakage|."""
     checked = [explicit_single_bit_family(), walsh_family(2), build_family(mub_family(3, 1)),
                build_family(mub_family(3, 2))]

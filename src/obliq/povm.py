@@ -1,9 +1,8 @@
-"""Generalized (POVM) measurements: validation, random draws, the gain account, audits.
+"""Generalized (POVM) measurements: validation, random draws and the gain account.
 
 The gain account forms the normalized-operator posteriors of every outcome
-and encoding and returns them with their entropies and gains.  The audit
-machinery checks numerically that generalized measurements obey the same
-entropic bound as projective ones on pairwise-unbiased encoding families.
+and encoding and returns them with their entropies and gains;
+`analysis.povm_gain_audit` checks them against the entropy-sum bound.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .encodings import EncodingFamily
 from .qmath import DEFAULT_TOL, BoundViolation, SeededRng
 
 _NORMALIZER_RTOL = 1e-12  # relative to s_j^2: |S_j E_i|^2 sums to 1 for unitary E_i, rounding moves it far less
@@ -54,8 +52,8 @@ def validate_povm(p: Povm) -> Povm:
     return p
 
 
-def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
-    """Entropy/gain accounting of a POVM against every encoding choice.
+def povm_gain_account(p: Povm, encoders: list) -> dict:
+    """Entropy/gain accounting of a POVM against the dense encoders E_0..E_{k-1} of a family.
 
     "posteriors"[j, i] is P(d | outcome j, announced i) under the uniform
     prior, from the trace-normalized operators S_j = R_j / s_j with
@@ -64,11 +62,6 @@ def povm_gain_account(p: Povm, family: EncodingFamily) -> dict:
     beyond _NORMALIZER_RTOL s_j^2 means the normalizer depends on the encoding choice.
     Outcome weights are s_j^2 / n, the uniform-prior outcome probabilities.
     """
-    return _gain_account(p, [family.encoder(i) for i in range(family.k)])
-
-
-def _gain_account(p: Povm, encoders: list) -> dict:
-    """`povm_gain_account` against the dense encoders E_0..E_{k-1} of a family."""
     n = p.dim
     s2 = np.trace(p.operators.conj().transpose(0, 2, 1) @ p.operators, axis1=1, axis2=2).real
     if (s2 < _MIN_TRACE).any():
@@ -90,34 +83,6 @@ def _gain_account(p: Povm, encoders: list) -> dict:
         "gain_worst": float(gains.max()),
         "gain_expected": float((weights * gains).sum()),
     }
-
-
-def check_entropy_family(family: EncodingFamily) -> None:
-    """ValueError unless the entropy-sum bound applies: k = 2 and pairwise unbiased."""
-    if family.k != 2:
-        raise ValueError("the entropy-sum audit is defined for k=2 families")
-    if not family.pairwise_hadamard:
-        raise ValueError("the audit requires a pairwise-unbiased family")
-
-
-def povm_entropy_bound_checks(povms, family: EncodingFamily):
-    """Check H(P(.|j,0)) + H(P(.|j,1)) >= log n for every outcome of each POVM, against a k=2 family.
-
-    Yields, per POVM, the minimum slack over outcomes, the `count_violations` verdict and the gain
-    summaries; the family's two encoders are built once.
-    """
-    check_entropy_family(family)
-    encoders = [family.encoder(i) for i in range(2)]
-    for p in povms:
-        account = _gain_account(p, encoders)
-        slack = account["h_cond"].sum(axis=1) - float(np.log2(p.dim))
-        yield {
-            "outcomes": len(p.operators),
-            "min_slack_bits": float(slack.min()),
-            "violations": qmath.count_violations(slack),
-            "gain_worst": account["gain_worst"],
-            "gain_expected": account["gain_expected"],
-        }
 
 
 def random_povm(dim: int, n_ops: int, rng: SeededRng) -> Povm:

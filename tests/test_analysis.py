@@ -42,12 +42,13 @@ from obliq.encodings import (
     random_family,
     walsh_matrix,
 )
-from obliq.povm import povm_entropy_bound_checks, random_povm
+from obliq.povm import povm_gain_account, random_povm
 from obliq.protocol import MeasurementBasis, honest_basis, honest_leakage, invert_basis, outcome_probs
 from obliq.qmath import (
     BoundViolation,
     SeededRng,
     as_state,
+    count_violations,
     entropy_rows,
     haar_unitaries,
     haar_unitary,
@@ -592,16 +593,19 @@ class TestMeasurementAudits:
         for t in range(30):  # the audit as a loop of one-POVM checks, each building its own encoders
             stream = SeededRng(8).derive(t)
             pv = random_povm(family.n, int(stream.gen.integers(2, 2 * family.n + 1)), stream)
-            reports.append(next(povm_entropy_bound_checks([pv], family)))
+            account = povm_gain_account(pv, [family.encoder(0), family.encoder(1)])
+            slack = account["h_cond"].sum(axis=1) - np.log2(family.n)
+            reports.append((slack.min(), count_violations(slack), account["gain_expected"], account["gain_worst"]))
+        lows, bads, expected, worst = zip(*reports)
         calls = []
         encoder = EncodingFamily.encoder
         monkeypatch.setattr(EncodingFamily, "encoder", lambda fam, i: calls.append(i) or encoder(fam, i))
         rep = povm_gain_audit(family, 30, SeededRng(8))
         assert calls == [0, 1]
-        assert rep.min_slack == min(r["min_slack_bits"] for r in reports)
-        assert rep.violations == sum(r["violations"] for r in reports)
-        assert rep.parameters["worst_expected_gain"] == max(r["gain_expected"] for r in reports)
-        assert rep.parameters["worst_outcome_gain"] == max(r["gain_worst"] for r in reports)
+        assert rep.min_slack == min(lows)
+        assert rep.violations == sum(bads)
+        assert rep.parameters["worst_expected_gain"] == max(expected)
+        assert rep.parameters["worst_outcome_gain"] == max(worst)
 
     @pytest.mark.parametrize(
         "basis, match",

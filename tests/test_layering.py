@@ -3,9 +3,11 @@ only `qmath` owns a worker pool, each chunked audit enters it once and Haar
 sampling never does, importing obliq loads no scipy, no comparison spells a
 tolerance as a literal, a per-slot posterior applies no Kronecker chain and a
 product session forms no n-entry state.
-Every name `obliq` exports has a reader outside the unit tests.  The
-benchmark contract: the span tracer in perfbench/ installs and uninstalls
-cleanly, and every obliq name the workloads read exists."""
+Every name `obliq` exports, and every public top-level name of each module,
+has a reader outside the unit tests, and `povm` imports no sibling module
+but `qmath`.  The benchmark contract: the span tracer in perfbench/
+installs and uninstalls cleanly, and every obliq name the workloads read
+exists."""
 
 import ast
 import importlib
@@ -417,6 +419,81 @@ def test_every_exported_name_has_a_reader_outside_the_unit_tests():
 def test_read_detector_skips_definitions_and_stores():
     source = "def f(a):\n    return g.h(a)\n\nclass C:\n    pass\n\nx = y\nz.w = 1"
     assert names_read(source) == {"g", "h", "a", "y", "z"}
+
+
+def defined_names(node) -> set:
+    """The names a top-level statement defines: a def, a class or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def unread_definitions(modules: dict, others) -> list:
+    """Every public top-level function, class or constant of `modules` (stem -> source), as "module.name",
+    that nothing reads: not another module, not its own module outside the definition, not a source in `others`."""
+    outside = set().union(*map(names_read, others))
+    unread = []
+    for stem, source in modules.items():
+        read = outside.union(*(names_read(text) for other, text in modules.items() if other != stem))
+        body = ast.parse(source).body
+        reads = [names_read(ast.unparse(node)) for node in body]
+        for i, node in enumerate(body):
+            rest = read.union(*reads[:i], *reads[i + 1 :])
+            unread += [f"{stem}.{name}" for name in defined_names(node) - rest if not name.startswith("_")]
+    return sorted(unread)
+
+
+def test_every_public_module_name_has_a_reader_outside_the_unit_tests():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"}
+    others = [p.read_text() for p in [*(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]]
+    assert unread_definitions(modules, others) == []
+
+
+def test_unread_definition_detector_counts_each_kind_of_reader():
+    modules = {
+        "a": "\n".join(
+            [
+                "def used_by_b():",
+                "    pass",
+                "def used_here():",
+                "    pass",
+                "def recursive():",
+                "    return recursive()",
+                "class Lonely:",
+                "    LIMIT = 1",
+                "LIMIT: int = 3",
+                "TABLE, _HIDDEN = 1, 2",
+                "def _private():",
+                "    return used_here() + _HIDDEN",
+            ]
+        ),
+        "b": "from .a import used_by_b, Lonely\n\ndef run():\n    return used_by_b()",
+    }
+    others = ["from obliq import b\nb.run(LIMIT)"]
+    assert unread_definitions(modules, others) == ["a.Lonely", "a.TABLE", "a.recursive"]
+
+
+def sibling_imports(source: str) -> set:
+    """Every sibling module the source imports, or imports a name from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            target = _sibling(node.module, node.level)
+            found |= {target} if target else {a.name for a in node.names if node.level == 1 or node.module == "obliq"}
+        elif isinstance(node, ast.Import):
+            found |= {_sibling(a.name, 0) for a in node.names} - {None}
+    return found & SIBLINGS
+
+
+def test_povm_imports_no_sibling_but_qmath():
+    # the gain account takes dense encoders, so it needs no family type
+    assert sibling_imports((PACKAGE / "povm.py").read_text()) == {"qmath"}
+
+
+def test_sibling_import_detector_flags_each_form():
+    source = "from . import qmath, gf2\nfrom .encodings import W2\nimport obliq.protocol\nfrom obliq import cli\nimport numpy"
+    assert sibling_imports(source) == {"qmath", "gf2", "encodings", "protocol", "cli"}
 
 
 # ---------------------------------------------------------------------------

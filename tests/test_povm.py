@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
+from obliq import analysis
+from obliq.analysis import povm_gain_audit
 from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_family
-from obliq.povm import (
-    Povm,
-    povm_entropy_bound_checks,
-    povm_gain_account,
-    random_povm,
-    validate_povm,
-)
+from obliq.povm import Povm, povm_gain_account, random_povm, validate_povm
 from obliq.protocol import MeasurementBasis, draw_outcome, honest_basis, outcome_distribution, posterior
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, random_states
 
@@ -26,6 +22,11 @@ def povm_from_basis(basis: MeasurementBasis) -> Povm:
     rows = basis.matrix
     ops = tuple(np.outer(v.conj(), v) for v in rows)
     return validate_povm(Povm(dim=len(rows), operators=ops))
+
+
+def encoders(family) -> list:
+    """The dense encoders E_0..E_{k-1} of a family, as the account takes them."""
+    return [family.encoder(i) for i in range(family.k)]
 
 
 @pytest.fixture
@@ -150,7 +151,7 @@ class TestPovmPosterior:
         # full enumeration at k=2, m=1 against the projective posterior
         rng = SeededRng(21)
         basis = custom_basis(haar_unitary(4, rng))
-        post = povm_gain_account(povm_from_basis(basis), explicit)["posteriors"]
+        post = povm_gain_account(povm_from_basis(basis), encoders(explicit))["posteriors"]
         for i in range(2):
             for j in range(4):
                 np.testing.assert_allclose(
@@ -164,7 +165,7 @@ class TestPovmPosterior:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    povm_gain_account(p, explicit)["posteriors"][j, i], np.full(4, 0.25), atol=1e-12
+                    povm_gain_account(p, encoders(explicit))["posteriors"][j, i], np.full(4, 0.25), atol=1e-12
                 )
 
     def test_rank2_eigen_mixture(self, explicit):
@@ -180,7 +181,7 @@ class TestPovmPosterior:
         rest = (eigvecs * np.sqrt(np.clip(eigvals, 0, None))) @ eigvecs.conj().T
         p = validate_povm(Povm(dim=4, operators=(s_op, rest)))
         for i in range(2):
-            mixture = povm_gain_account(p, explicit)["posteriors"][0, i]
+            mixture = povm_gain_account(p, encoders(explicit))["posteriors"][0, i]
             e_i = explicit.encoder(i)
             parts = []
             for vec in (v, w):
@@ -206,7 +207,7 @@ class TestPovmPosterior:
                     lam[r] * np.abs(vecs[:, r].conj() @ e_i) ** 2 for r in range(4)
                 )
                 np.testing.assert_allclose(
-                    povm_gain_account(p, explicit)["posteriors"][0, i], mixture, atol=1e-9
+                    povm_gain_account(p, encoders(explicit))["posteriors"][0, i], mixture, atol=1e-9
                 )
 
     def test_normalizer_encoding_invariance(self, explicit):
@@ -261,7 +262,7 @@ class TestGainAccount:
         root = SeededRng(88)
         for t in range(5):
             p = random_povm(family.n, 3 + t, root.derive(t))
-            acct = povm_gain_account(p, family)
+            acct = povm_gain_account(p, encoders(family))
             post = acct["posteriors"]
             for j in range(len(p)):
                 for i in range(family.k):
@@ -275,14 +276,14 @@ class TestGainAccount:
         a1 *= 1.1  # corrupt a factor after build: no encoder is unitary any more
         p = random_povm(4, 3, SeededRng(89))
         with pytest.raises(BoundViolation, match="normalizer"):
-            povm_gain_account(p, fam)
+            povm_gain_account(p, encoders(fam))
 
     @pytest.mark.parametrize("family", ACCOUNT_FAMILIES, ids=ACCOUNT_IDS)
     def test_stacked_account_has_the_per_operator_bits(self, family):
         root = SeededRng(90)
         for n_ops in range(2, 2 * family.n + 1):
             p = random_povm(family.n, n_ops, root.derive(n_ops))
-            acct, loop = povm_gain_account(p, family), _per_operator_account(p, family)
+            acct, loop = povm_gain_account(p, encoders(family)), _per_operator_account(p, family)
             assert np.array_equal(acct["h_cond"], loop["h_cond"])
             assert np.array_equal(acct["weights"], loop["weights"])
             assert acct["gain_worst"] == loop["gain_worst"]
@@ -290,49 +291,48 @@ class TestGainAccount:
 
     @pytest.mark.parametrize("family", ACCOUNT_FAMILIES, ids=ACCOUNT_IDS)
     def test_k_encoders_per_account(self, family, monkeypatch):
+        # one column per encoder handed in, in the order given; the account builds none itself
+        encs = encoders(family)
         calls = []
         real = EncodingFamily.encoder
         monkeypatch.setattr(EncodingFamily, "encoder", lambda fam, i: calls.append(i) or real(fam, i))
         root = SeededRng(91)
         for n_ops in range(1, 2 * family.n + 1):
             p = random_povm(family.n, n_ops, root.derive(n_ops))
-            calls.clear()
-            povm_gain_account(p, family)
-            assert calls == list(range(family.k))
+            acct, flipped = povm_gain_account(p, encs), povm_gain_account(p, encs[::-1])
+            assert acct["posteriors"].shape == (n_ops, family.k, family.n)
+            assert np.array_equal(flipped["h_cond"], acct["h_cond"][:, ::-1])
+        assert calls == []
+
+
+def audit_of(p: Povm, family, monkeypatch):
+    """The POVM audit's report on the one POVM p, drawn as its only trial."""
+    monkeypatch.setattr(analysis, "random_povm", lambda dim, n_ops, rng: p)
+    return povm_gain_audit(family, 1, SeededRng(0))
 
 
 class TestEntropyBound:
-    def test_projective_honest_equality(self):
+    def test_projective_honest_equality(self, monkeypatch):
         fam = walsh_family(2)
-        p = povm_from_basis(honest_basis(fam, 0))
-        rep = next(povm_entropy_bound_checks([p], fam))
+        rep = audit_of(povm_from_basis(honest_basis(fam, 0)), fam, monkeypatch)
         # each conditional entropy is exactly m, so the sum is 2m = log n
-        assert rep["min_slack_bits"] == pytest.approx(0.0, abs=1e-9)
-        assert rep["violations"] == 0
+        assert rep.min_slack == pytest.approx(0.0, abs=1e-9)
+        assert rep.violations == 0
 
-    def test_uniform_operators_maximal_slack(self, explicit):
+    def test_uniform_operators_maximal_slack(self, explicit, monkeypatch):
         p = Povm(dim=4, operators=(np.eye(4) / 2, np.eye(4) / 2))
-        rep = next(povm_entropy_bound_checks([p], explicit))
-        assert rep["min_slack_bits"] == pytest.approx(2.0, abs=1e-9)
+        rep = audit_of(p, explicit, monkeypatch)
+        assert rep.min_slack == pytest.approx(2.0, abs=1e-9)
 
     def test_randomized_audit(self, explicit):
-        root = SeededRng(55)
-        for t in range(60):
-            n_ops = int(root.derive(t).gen.integers(2, 9))
-            p = random_povm(4, n_ops, root.derive(1000 + t))
-            rep = next(povm_entropy_bound_checks([p], explicit))
-            assert rep["violations"] == 0
-            assert rep["gain_expected"] <= 1.0 + 1e-9
+        rep = povm_gain_audit(explicit, 60, SeededRng(55))
+        assert rep.violations == 0
+        assert rep.parameters["worst_expected_gain"] <= 1.0 + 1e-9
 
     def test_randomized_audit_m2(self):
-        fam = walsh_family(2)
-        root = SeededRng(56)
-        for t in range(30):
-            n_ops = int(root.derive(t).gen.integers(2, 33))
-            p = random_povm(16, n_ops, root.derive(2000 + t))
-            rep = next(povm_entropy_bound_checks([p], fam))
-            assert rep["violations"] == 0
-            assert rep["gain_expected"] <= 2.0 + 1e-9
+        rep = povm_gain_audit(walsh_family(2), 30, SeededRng(56))
+        assert rep.violations == 0
+        assert rep.parameters["worst_expected_gain"] <= 2.0 + 1e-9
 
     def test_k3_empirical_cap(self):
         # the convexity argument extends empirically to k=3 families
@@ -341,6 +341,6 @@ class TestEntropyBound:
         cap = fam.k * fam.m / 2.0
         for t in range(20):
             p = random_povm(8, int(root.derive(t).gen.integers(2, 17)), root.derive(500 + t))
-            acct = povm_gain_account(p, fam)
+            acct = povm_gain_account(p, encoders(fam))
             assert acct["gain_expected"] <= cap + 1e-9
             assert acct["gain_worst"] <= cap + 1e-9

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from obliq import analysis, cli, protocol, qmath
-from obliq.analysis import LeakageResult, explore_condition_2prime, projective_gain_audit, verify_theorem1
+from obliq.analysis import (
+    LeakageResult, explore_condition_2prime, povm_gain_audit, projective_gain_audit, verify_theorem1,
+)
 from obliq.encodings import W2, explicit_single_bit_family
-from obliq.povm import Povm, povm_entropy_bound_checks, povm_gain_account
+from obliq.povm import Povm, povm_gain_account
 from obliq.protocol import _decode, invert_basis, outcome_probs, parity_basis
 from obliq.qmath import BoundViolation, SeededRng, count_violations
 
@@ -105,11 +107,12 @@ def test_projective_audit_counts_a_gain_past_the_cap(multiple, counted, monkeypa
 
 
 @pytest.mark.parametrize("multiple, counted", [(PAST, 4), (INSIDE, 0)], ids=SIDES)
-def test_povm_audit_counts_an_entropy_sum_past_the_line(multiple, counted):
-    e1 = near_flat(multiple * TOL)
-    rep = next(povm_entropy_bound_checks([projectors(4)], stand_in_family(np.eye(4), e1)))
-    assert rep["min_slack_bits"] == pytest.approx(-multiple * TOL, rel=1e-3)
-    assert rep["violations"] == counted
+def test_povm_audit_counts_an_entropy_sum_past_the_line(multiple, counted, monkeypatch):
+    # the projectors read E_0 = I for 0 bits and the near-flat E_1 for 2 - multiple TOL bits per outcome
+    monkeypatch.setattr(analysis, "random_povm", lambda dim, n_ops, rng: projectors(4))
+    rep = povm_gain_audit(stand_in_family(np.eye(4), near_flat(multiple * TOL)), 1, SeededRng(5))
+    assert rep.min_slack == pytest.approx(-multiple * TOL, rel=1e-3)
+    assert rep.violations == counted
 
 
 @pytest.mark.parametrize("leak, counted", [(3e-9, True), (-3e-9, True), (0.5e-9, False), (-0.5e-9, False)],
@@ -117,7 +120,7 @@ def test_povm_audit_counts_an_entropy_sum_past_the_line(multiple, counted):
 def test_honest_suite_counts_a_leakage_past_the_line(leak, counted, monkeypatch):
     calls = []
     monkeypatch.setattr(protocol, "honest_leakage", lambda family, j: calls.append(j) or leak)
-    rep = cli._honest_suite(SeededRng(4))
+    rep = cli._honest_suite()
     assert rep.violations == (len(calls) if counted else 0)
     assert len(calls) == 63  # every choice of every mub family with m <= 3 and k <= 2^m + 1
     assert (rep.min_slack, rep.parameters["worst_abs_leakage_bits"]) == (-abs(leak), abs(leak))
@@ -164,24 +167,24 @@ def test_matched_invert_decode_needs_a_pin_within_the_tolerance(multiple, raised
 @pytest.mark.parametrize("nudge, raised", [(1e-10, True), (0.5e-12, False)], ids=SIDES)
 def test_a_normalizer_that_moves_with_the_encoding_is_a_bound_violation(nudge, raised):
     # projector j sums row j of |E_i|^2: 1 for E_0 = I and 1 + nudge for E_1
-    family = stand_in_family(np.eye(4), np.eye(4) * math.sqrt(1.0 + nudge))
+    encoders = [np.eye(4), np.eye(4) * math.sqrt(1.0 + nudge)]
     if raised:
         with pytest.raises(BoundViolation, match="normalizer"):
-            povm_gain_account(projectors(4), family)
+            povm_gain_account(projectors(4), encoders)
     else:
-        assert povm_gain_account(projectors(4), family)["gain_worst"] == pytest.approx(2.0, abs=1e-12)
+        assert povm_gain_account(projectors(4), encoders)["gain_worst"] == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale, raised", [(1e-8, True), (1e-7, False)], ids=["below", "above"])
 def test_an_operator_without_weight_is_refused(scale, raised):
     # Tr(R^dag R) = 4 scale^2: 4e-16 is below the degeneracy guard, 4e-14 is not
     ops = np.stack([np.eye(4) * scale, np.eye(4) * math.sqrt(1.0 - scale**2)])
-    family = stand_in_family(np.eye(4), np.eye(4))
+    encoders = [np.eye(4), np.eye(4)]
     if raised:
         with pytest.raises(ValueError, match="degenerate operator"):
-            povm_gain_account(Povm(dim=4, operators=ops), family)
+            povm_gain_account(Povm(dim=4, operators=ops), encoders)
     else:
-        assert povm_gain_account(Povm(dim=4, operators=ops), family)["gain_worst"] == pytest.approx(0.0, abs=1e-12)
+        assert povm_gain_account(Povm(dim=4, operators=ops), encoders)["gain_worst"] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
