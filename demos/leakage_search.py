@@ -7,7 +7,7 @@ thumb.  Every reported number is a lower bound on the true supremum and is
 reproducible from the stored parameters.
 """
 
-from obliq import OptimizerConfig, SeededRng, build_family, leakage_scan, max_leakage, mub_family
+from obliq import OptimizerConfig, SeededRng, leakage_scan, max_leakage, mub_family
 from obliq.analysis import scan_csv
 from obliq.encodings import explicit_single_bit_family
 
@@ -21,7 +21,7 @@ def main():
           f" (found by restart {res.best_restart})")
 
     print("\nThree items, one bit each, unbiased triple:")
-    res = max_leakage(build_family(mub_family(3, 1)), config, SeededRng(2))
+    res = max_leakage(mub_family(3, 1), config, SeededRng(2))
     print(f"  honest gain is 1.0; search found {res.best_gain:.6f} bits"
           f" vs cap {res.bound:.1f}")
 

@@ -24,8 +24,6 @@ from .analysis import (
 from .encodings import (
     CertificationError,
     EncodingFamily,
-    ItemBasisFamily,
-    build_family,
     cyclic_family,
     explicit_single_bit_family,
     mub_family,

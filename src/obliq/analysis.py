@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qmath
 from .encodings import (
-    MAX_POVM_M, MAX_RESTARTS, MAX_SEARCH_DIM, EncodingFamily, build_family, check_desk_cell, check_trials,
+    MAX_POVM_M, MAX_RESTARTS, MAX_SEARCH_DIM, EncodingFamily, check_desk_cell, check_trials,
     mub_family, walsh_matrix,
 )
 from .povm import povm_gain_account, random_povm
@@ -411,7 +411,7 @@ def leakage_scan(k_values, m_values, config: OptimizerConfig, rng: SeededRng):
     for k, m in cells:  # every cell is checked before the first one runs
         _check_search(k, m, config.restarts)
     results = [
-        max_leakage(build_family(mub_family(k, m)), config, rng.derive(idx))
+        max_leakage(mub_family(k, m), config, rng.derive(idx))
         for idx, (k, m) in enumerate(cells)
     ]
     return results, fit_power_law(results)

@@ -23,7 +23,6 @@ from .encodings import (
     MAX_POVM_M,
     MAX_SHARE_ROUNDS,
     W2,
-    build_family,
     check_desk_cell,
     cyclic_family,
     explicit_single_bit_family,
@@ -138,12 +137,12 @@ def _make_family(args, rng: SeededRng):
             raise UsageError("--family walsh requires --k 2")
         return walsh_family(m)
     if kind == "mub":
-        return build_family(mub_family(k, m))
+        return mub_family(k, m)
     if kind == "cyclic":
-        return build_family(cyclic_family(k, m))
+        return cyclic_family(k, m)
     if kind == "random":
-        return build_family(random_family(k, m, rng))
-    return build_family(tensorized_family(k, m, args.tensor_r, rng))
+        return random_family(k, m, rng)
+    return tensorized_family(k, m, args.tensor_r, rng)
 
 
 def _strategy(args, family):
@@ -274,7 +273,7 @@ def _verify_one(suite: str, args, rng: SeededRng):
             reports.append(analysis.verify_theorem1(dim, trials, rng.derive(idx)))
     elif suite == "povm":
         trials = args.trials or 200
-        family = build_family(mub_family(2, args.m)) if args.m > 1 else explicit_single_bit_family()
+        family = mub_family(2, args.m) if args.m > 1 else explicit_single_bit_family()
         reports.append(analysis.povm_gain_audit(family, trials, rng.derive(0)))
     elif suite == "concentration":
         trials = args.trials or 1000
@@ -286,7 +285,7 @@ def _verify_one(suite: str, args, rng: SeededRng):
             # the proven pair: the identity and a flat unitary on the joint space, as qubit chains
             encs = [(np.eye(2),) * (2 * args.m), (W2,) * (2 * args.m)]
         else:
-            family = build_family(mub_family(args.k, args.m))
+            family = mub_family(args.k, args.m)
             encs = [family.factors(i) for i in range(family.k)]
         reports.append(analysis.explore_condition_2prime(encs, trials, rng.derive(0)))
     else:  # honest
@@ -296,9 +295,8 @@ def _verify_one(suite: str, args, rng: SeededRng):
 
 def _honest_suite() -> analysis.BoundReport:
     """Exhaustive decode correctness plus unbiased-family honest privacy, whose slack is -|leakage|."""
-    checked = [explicit_single_bit_family(), walsh_family(2), build_family(mub_family(3, 1)),
-               build_family(mub_family(3, 2))]
-    unbiased = [build_family(mub_family(k, m)) for m in (1, 2, 3) for k in range(2, (1 << m) + 2)]
+    checked = [explicit_single_bit_family(), walsh_family(2), mub_family(3, 1), mub_family(3, 2)]
+    unbiased = [mub_family(k, m) for m in (1, 2, 3) for k in range(2, (1 << m) + 2)]
     slack = -np.abs([protocol.honest_leakage(family, j) for family in unbiased for j in range(family.k)])
     return analysis.BoundReport(
         suite="honest",

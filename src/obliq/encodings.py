@@ -1,10 +1,10 @@
-"""Constructions and certification of item-basis and encoding families.
+"""Constructions and certification of encoding families.
 
-An item-basis family is a list of k unitary 2^m x 2^m matrices A_0..A_{k-1},
-one measurement/encoding basis per database item.  An encoding family lifts
-it to the joint configuration space: C_i is the cyclically rotated Kronecker
-chain starting at A_i, and the encoder E_i = C_i P_i first rotates the item
-blocks of the configuration index and then applies C_i.
+An encoding family is a list of k unitary 2^m x 2^m item bases A_0..A_{k-1},
+one measurement/encoding basis per database item, and the joint-space
+encoders they fix: C_i is the cyclically rotated Kronecker chain starting at
+A_i, and the encoder E_i = C_i P_i first rotates the item blocks of the
+configuration index and then applies C_i.
 
 Every constructor certifies its item bases numerically before returning the
 family, so an uncertified family cannot exist; a dense encoder, a Kronecker
@@ -90,14 +90,16 @@ def walsh_matrix(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ItemBasisFamily:
-    """k unitary 2^m x 2^m item bases with provenance metadata.
+class EncodingFamily:
+    """k certified unitary 2^m x 2^m item bases and the joint-space encoders E_i = C_i P_i they fix.
 
     One pass over the pairs i < j forms each cross product A_i^dag A_j and
     derives `pairwise_hadamard` (every one is flat) and `max_pairwise_overlap`
     (the largest entry magnitude of any).  A_j^dag A_i is the adjoint of
     A_i^dag A_j, with the same moduli and the same unitarity verdict, so the
-    ordered pairs add nothing.
+    ordered pairs add nothing.  Dense encoders are materialized on demand;
+    every state-level operation also has a Kronecker-structured path so large
+    k*m families stay usable for item-level analysis.
     """
 
     k: int
@@ -148,44 +150,20 @@ class ItemBasisFamily:
             if np.abs(np.linalg.matrix_power(a1, self.k) - np.eye(1 << self.m)).max() > DEFAULT_TOL:
                 raise CertificationError("cyclic family: A_1^k != I")
 
-
-@dataclass
-class EncodingFamily:
-    """Joint-space encoders E_i = C_i P_i derived from an item-basis family.
-
-    Dense encoders are materialized on demand; every state-level operation
-    also has a Kronecker-structured path so large k*m families stay usable
-    for item-level analysis.
-    """
-
-    basis: ItemBasisFamily
-
-    @property
-    def k(self) -> int:
-        return self.basis.k
-
-    @property
-    def m(self) -> int:
-        return self.basis.m
-
     @property
     def n(self) -> int:
         return 1 << (self.k * self.m)
 
     @property
-    def kind(self) -> str:
-        return self.basis.kind
-
-    @property
-    def pairwise_hadamard(self) -> bool:
-        return self.basis.pairwise_hadamard
+    def basis(self) -> EncodingFamily:
+        """The family itself, for the `fam.basis.matrices` reads in perfbench/workloads.py."""
+        return self
 
     def factors(self, i: int) -> tuple:
         """Kronecker factors of C_i (the rotated chain starting at A_i)."""
         if not 0 <= i < self.k:
             raise ValueError(f"encoding index {i} out of range")
-        mats = self.basis.matrices
-        return tuple(mats[(i + r) % self.k] for r in range(self.k))
+        return tuple(self.matrices[(i + r) % self.k] for r in range(self.k))
 
     def _check_dense(self):
         if self.n > MAX_DENSE_DIM:
@@ -223,18 +201,18 @@ class EncodingFamily:
     def descriptor(self) -> dict:
         """JSON-serializable family descriptor for transcript embedding."""
         desc = {"kind": self.kind, "k": self.k, "m": self.m}
-        if self.basis.seed is not None:
-            desc["seed"] = list(self.basis.seed)
-        if self.basis.tensor_block is not None:
-            desc["r"] = self.basis.tensor_block
+        if self.seed is not None:
+            desc["seed"] = list(self.seed)
+        if self.tensor_block is not None:
+            desc["r"] = self.tensor_block
         if self.kind in ("explicit", "random"):
-            desc["matrices"] = [np.stack([a.real, a.imag], axis=-1).tolist() for a in self.basis.matrices]
+            desc["matrices"] = [np.stack([a.real, a.imag], axis=-1).tolist() for a in self.matrices]
         return desc
 
 
-def build_family(basis: ItemBasisFamily) -> EncodingFamily:
-    """Lift an item-basis family to joint-space encoders E_i = C_i P_i."""
-    return EncodingFamily(basis)
+def build_family(family: EncodingFamily) -> EncodingFamily:
+    """The family itself: every constructor returns an `EncodingFamily`; perfbench/workloads.py still calls this."""
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +221,17 @@ def build_family(basis: ItemBasisFamily) -> EncodingFamily:
 
 def explicit_single_bit_family() -> EncodingFamily:
     """The two 4x4 encoders of the two-item, one-bit-per-item scheme."""
-    basis = ItemBasisFamily(
-        k=2, m=1, matrices=(np.eye(2, dtype=complex), ALPHA_1), kind="explicit"
-    )
-    return build_family(basis)
+    return EncodingFamily(k=2, m=1, matrices=(np.eye(2, dtype=complex), ALPHA_1), kind="explicit")
 
 
 def walsh_family(m: int) -> EncodingFamily:
     """k=2 family with A_0 = I and A_1 the m-fold Walsh tensor power."""
     if m < 1:
         raise ValueError("walsh_family needs m >= 1")
-    basis = ItemBasisFamily(
-        k=2, m=m, matrices=(np.eye(1 << m, dtype=complex), walsh_matrix(m)), kind="walsh"
-    )
-    return build_family(basis)
+    return EncodingFamily(k=2, m=m, matrices=(np.eye(1 << m, dtype=complex), walsh_matrix(m)), kind="walsh")
 
 
-def cyclic_family(k: int, m: int) -> ItemBasisFamily:
+def cyclic_family(k: int, m: int) -> EncodingFamily:
     """Powers {I, A, A^2} of one order-3 unitary; only k=3 is constructible."""
     if k != 3:
         raise ValueError("cyclic families are only known for k = 3")
@@ -267,17 +239,17 @@ def cyclic_family(k: int, m: int) -> ItemBasisFamily:
         raise ValueError("cyclic_family needs m >= 1")
     a = qmath.kron_chain((CYCLIC_QUBIT,) * m)
     mats = (np.eye(1 << m, dtype=complex), a, a @ a)
-    return ItemBasisFamily(k=3, m=m, matrices=mats, kind="cyclic")
+    return EncodingFamily(k=3, m=m, matrices=mats, kind="cyclic")
 
 
-def random_family(k: int, m: int, rng: SeededRng) -> ItemBasisFamily:
+def random_family(k: int, m: int, rng: SeededRng) -> EncodingFamily:
     """k independent Haar unitaries; records the worst pairwise overlap."""
     if k < 2:
         raise ValueError("random_family needs k >= 2")
     if m < 1:
         raise ValueError("random_family needs m >= 1")
     mats = tuple(qmath.haar_unitaries(1 << m, k, rng))
-    return ItemBasisFamily(
+    return EncodingFamily(
         k=k,
         m=m,
         matrices=mats,
@@ -286,7 +258,7 @@ def random_family(k: int, m: int, rng: SeededRng) -> ItemBasisFamily:
     )
 
 
-def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily:
+def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> EncodingFamily:
     """A_i = tensor power of a small Haar block B_i of dimension r.
 
     r must be a power of two and log2(r) must divide m; each A_i is the
@@ -302,7 +274,7 @@ def tensorized_family(k: int, m: int, r: int, rng: SeededRng) -> ItemBasisFamily
         raise ValueError("tensorized_family needs k >= 2")
     blocks = qmath.haar_unitaries(r, k, rng)
     mats = tuple(qmath.kron_chain((b,) * (m // log_r)) for b in blocks)
-    return ItemBasisFamily(
+    return EncodingFamily(
         k=k,
         m=m,
         matrices=mats,
@@ -357,7 +329,7 @@ def _gr4_phase_bases(m: int) -> list:
     return [scale * i_pow[(teichmueller_trace[prod[a]][:, None] + 2 * tr[prod]) % 4] for a in powers]
 
 
-def mub_family(k: int, m: int) -> ItemBasisFamily:
+def mub_family(k: int, m: int) -> EncodingFamily:
     """A family of k pairwise-unbiased bases in dimension 2^m.
 
     Exists for 2 <= k <= 2^m + 1.  For k <= 3 the family is the m-fold
@@ -376,4 +348,4 @@ def mub_family(k: int, m: int) -> ItemBasisFamily:
         mats = tuple(generators[:k])
     else:
         mats = tuple([identity] + _gr4_phase_bases(m)[: k - 1])
-    return ItemBasisFamily(k=k, m=m, matrices=mats, kind="mub")
+    return EncodingFamily(k=k, m=m, matrices=mats, kind="mub")

@@ -78,7 +78,6 @@ def povm_gain_account(p: Povm, encoders: list) -> dict:
     return {
         "posteriors": posteriors,
         "h_cond": h_cond,
-        "h_avg": h_cond.mean(axis=1),
         "weights": weights,
         "gain_worst": float(gains.max()),
         "gain_expected": float((weights * gains).sum()),

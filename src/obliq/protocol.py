@@ -139,7 +139,7 @@ def honest_basis(family: EncodingFamily, j: int) -> MeasurementBasis:
     """M_j: the k-fold tensor power of A_j^dag."""
     if not 0 <= j < family.k:
         raise ValueError(f"choice {j} out of range for k={family.k}")
-    adj = family.basis.matrices[j].conj().T
+    adj = family.matrices[j].conj().T
     return MeasurementBasis(kind="honest", index=j, factors=(adj,) * family.k, items=structured_items(family.k, j))
 
 
@@ -148,7 +148,7 @@ def invert_basis(family: EncodingFamily, guess: int) -> MeasurementBasis:
     if not 0 <= guess < family.k:
         raise ValueError(f"guess {guess} out of range for k={family.k}")
     items = structured_items(family.k, family.k + guess)
-    factors = tuple(family.basis.matrices[a].conj().T for a in items)
+    factors = tuple(family.matrices[a].conj().T for a in items)
     return MeasurementBasis(kind="invert", index=guess, factors=factors, rotation=guess, items=items)
 
 
@@ -228,7 +228,7 @@ def posterior(basis: MeasurementBasis, family: EncodingFamily, i: int, j: int) -
         raise ValueError(f"dimension mismatch: basis {basis.dim}, family {family.n}")
     if not 0 <= j < basis.dim:
         raise ValueError(f"outcome index {j} out of range")
-    k, m, mats = family.k, family.m, family.basis.matrices
+    k, m, mats = family.k, family.m, family.matrices
     c = item_blocks(qmath.rotate_blocks(j, k, m, basis.rotation), k, m)
     post = np.ones(1)
     for q in range(k):  # item block q holds slot r = (q - i) mod k, so A_{(i+r) mod k} = A_q
@@ -310,7 +310,7 @@ def slot_entropy(family: EncodingFamily, items) -> float:
     distinct pair (items[r], q) and added in (i, r) order.
     """
     k = family.k
-    mats = family.basis.matrices
+    mats = family.matrices
     slot = {}
     total = 0.0
     for i in range(k):
@@ -442,11 +442,6 @@ class SessionTranscript:
 # Posteriors shorter than this go to json.dumps: at 512 entries of 0 and 1 the
 # two writers take about the same time, and below it json.dumps is faster.
 _SHARED_REPR_MIN = 512
-# Compact output judges a posterior on its first _HEAD nonzero entries: mub,
-# walsh, cyclic and explicit ones repeat one 2^-t there, random and tensorized
-# ones show 10 to 16 values, and then json.dumps's C writer is as fast.  The
-# indented json.dumps runs in Python, so there every long posterior shares reprs.
-_HEAD = 16
 _SLOT = "\x00posterior\x00"  # stands in for each posterior in the skeleton
 
 
@@ -460,9 +455,7 @@ def transcript_json(doc, indent=None) -> str:
     so 0.0 and -0.0 stay apart, and each run of equal entries is one string
     product; the rest is dumped with the posteriors swapped for placeholders,
     which are then spliced out.  Any other posterior, a list included, sends
-    the document to json.dumps whole, as does a compact posterior with more
-    than `_HEAD // 4` distinct values among its first `_HEAD` nonzero entries
-    (random and tensorized families).  NaN and infinity raise ValueError.
+    the document to json.dumps whole.  NaN and infinity raise ValueError.
     """
     dumps = functools.partial(json.dumps, indent=indent, allow_nan=False, default=np.ndarray.tolist)
     posts = []
@@ -471,7 +464,7 @@ def transcript_json(doc, indent=None) -> str:
     texts = []
     for values, level in posts:
         sep = ", " if step is None else ",\n" + step * (level + 1)
-        items = _posterior_items(values, sep, step is None)
+        items = _posterior_items(values, sep)
         if items is None:
             return dumps(doc)
         texts.append(f"[{items}]" if step is None else f"[\n{step * (level + 1)}{items}\n{step * level}]")
@@ -495,12 +488,10 @@ def _stub_posteriors(holder: dict, posts: list, level: int) -> dict:
     return out
 
 
-def _posterior_items(values, sep: str, head_rule: bool):
+def _posterior_items(values, sep: str):
     """`sep.join(map(float.__repr__, values.tolist()))`, or None where json.dumps should write `values`."""
     if not (type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1
             and values.flags.c_contiguous and values.size >= _SHARED_REPR_MIN):
-        return None
-    if head_rule and len(set(values[np.flatnonzero(values)[:_HEAD]].tolist())) > _HEAD // 4:
         return None
     bits = values.view(np.uint64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))

@@ -13,7 +13,6 @@ from obliq import analysis, gf2
 from obliq.analysis import OptimizerConfig
 from obliq.cli import main as cli_main
 from obliq.encodings import (
-    build_family,
     explicit_single_bit_family,
     mub_family,
     random_family,
@@ -106,9 +105,9 @@ def test_criterion_03_honest_completeness():
         _completeness_exhaustive(explicit_single_bit_family())
         _completeness_exhaustive(walsh_family(2))
         _completeness_exhaustive(walsh_family(3))
-        _completeness_exhaustive(build_family(mub_family(3, 1)))
-        _completeness_exhaustive(build_family(mub_family(3, 2)))
-        _completeness_exhaustive(build_family(random_family(4, 2, SeededRng(42))))
+        _completeness_exhaustive(mub_family(3, 1))
+        _completeness_exhaustive(mub_family(3, 2))
+        _completeness_exhaustive(random_family(4, 2, SeededRng(42)))
         assert time.perf_counter() - t0 < 30.0
 
 
@@ -150,11 +149,11 @@ def test_criterion_07_mub_honest_privacy():
     with criterion(7, "unbiased families leak nothing to honest users (m <= 3)"):
         for m in (1, 2, 3):
             for k in range(2, (1 << m) + 2):
-                fam = build_family(mub_family(k, m))
+                fam = mub_family(k, m)
                 for j in range(k):
                     assert abs(honest_leakage(fam, j)) < 1e-9
         # spot-check the underlying uniformity of the non-target marginal
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         for j in range(3):
             mat = honest_basis(fam, j).matrix
             for i in range(3):
@@ -170,7 +169,7 @@ def test_criterion_08_optimizer_caps_and_tightness():
         config = OptimizerConfig()  # the default reproducibility contract
         res2 = analysis.max_leakage(explicit_single_bit_family(), config, SeededRng(801))
         assert 0.999 <= res2.best_gain <= 1.0 + 1e-6
-        res3 = analysis.max_leakage(build_family(mub_family(3, 1)), config, SeededRng(802))
+        res3 = analysis.max_leakage(mub_family(3, 1), config, SeededRng(802))
         assert 1.0 - 1e-9 <= res3.best_gain <= 1.5 + 1e-6
         assert time.perf_counter() - t0 < 300.0
 

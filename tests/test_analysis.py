@@ -36,7 +36,6 @@ from obliq.encodings import (
     MAX_TRIALS,
     W2,
     EncodingFamily,
-    build_family,
     explicit_single_bit_family,
     mub_family,
     random_family,
@@ -98,7 +97,7 @@ class TestCondition2Prime:
 
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (2, 2)])
     def test_a_chain_scores_as_its_dense_product(self, k, m):
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         chains = [fam.factors(i) for i in range(k)]
         dense = [kron_chain(c) for c in chains]
         rep = explore_condition_2prime(chains, 3000, SeededRng(7)).to_json()
@@ -122,7 +121,7 @@ class TestCondition2Prime:
         assert h2(e0) == 0.0
 
     def test_k3_exploratory_report(self):
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         encs = [kron_chain(fam.factors(i)) for i in range(3)]
         rep = explore_condition_2prime(encs, 2000, SeededRng(5))
         assert rep.violations == 0  # exploratory: never gated
@@ -182,7 +181,7 @@ class TestOneDrawSampling:
 
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (2, 2)])
     def test_hk_entropy_sums_match_einsum(self, k, m):
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         encs = [kron_chain(fam.factors(i)) for i in range(k)]
         for seed in range(8):
             # one state per run, so min_sum_bits is that state's entropy sum
@@ -242,12 +241,12 @@ class TestMaxLeakage:
         assert 0.999 <= res.best_gain <= 1.0 + 1e-6
 
     def test_k3_mub_between_honest_and_cap(self):
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         res = max_leakage(fam, QUICK, SeededRng(12))
         assert 1.0 - 1e-9 <= res.best_gain <= 1.5 + 1e-6
 
     def test_reported_gain_reproducible(self):
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         res = max_leakage(fam, QUICK, SeededRng(13))
         assert gain_of_params(res.best_params, fam) == pytest.approx(res.best_gain, abs=1e-9)
 
@@ -259,7 +258,7 @@ class TestMaxLeakage:
     def test_best_gain_is_the_winners_gain(self, k, m, restarts, iterations):
         # best_gain comes from the search's own objective, not a re-scoring
         # of best_params; the two must still agree at n = 64 and n = 256
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         res = max_leakage(fam, OptimizerConfig(restarts=restarts, iterations=iterations), SeededRng(21))
         if restarts > 2 * k:
             assert res.best_restart >= 2 * k  # a Haar start won
@@ -287,7 +286,7 @@ class TestMaxLeakage:
         # two honest starts at n = 256: each is scored per item slot, so the
         # search forms no dense encoder, runs no dense objective, enters no
         # pool and never descends; only the winner is built as a basis
-        log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 2, seed)
+        log = self._budget_log(monkeypatch, mub_family(4, 2), 2, seed)
         for name in ("_objective", "_stacked_encoders", "encoder", "_parallel_map", "_cayley_step"):
             assert log.count(name) == 0, name
         assert log.count("honest_basis") + log.count("invert_basis") == 1
@@ -296,7 +295,7 @@ class TestMaxLeakage:
         # restarts = 2k + 1: the one Haar start forms E_0..E_3 once and goes
         # on the pool (n = 256), while the eight structured starts stay dense-free
         # and only the winning one, an honest start, is built as a basis
-        log = self._budget_log(monkeypatch, build_family(mub_family(4, 2)), 9, 200)
+        log = self._budget_log(monkeypatch, mub_family(4, 2), 9, 200)
         assert log.count("_stacked_encoders") == 1
         assert log.count("encoder") == 4
         assert log.count("_parallel_map") == 1
@@ -310,7 +309,7 @@ class TestMaxLeakage:
         built = []
         init = MeasurementBasis.__post_init__
         monkeypatch.setattr(MeasurementBasis, "__post_init__", lambda b: built.append(b.label()) or init(b))
-        res = max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(restarts, 2), SeededRng(3))
+        res = max_leakage(mub_family(4, 2), OptimizerConfig(restarts, 2), SeededRng(3))
         assert built == [{"kind": "honest", "index": 0}]
         assert res.winner.label() == built[0] and res.best_restart == 0
 
@@ -318,7 +317,7 @@ class TestMaxLeakage:
         built = []
         for name in ("honest_basis", "invert_basis"):
             _record_calls(monkeypatch, name, built)
-        res = max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(8, 60), SeededRng(0))
+        res = max_leakage(mub_family(3, 1), OptimizerConfig(8, 60), SeededRng(0))
         assert res.best_restart >= 6 and built == []
 
     def test_deterministic(self):
@@ -340,7 +339,7 @@ class TestMaxLeakage:
     )
     def test_seeded_search_outputs(self, k, m, restarts, iterations, seed, gain, restart, digest):
         # pinned figures: the search's draws, descent and winner must not move
-        res = max_leakage(build_family(mub_family(k, m)), OptimizerConfig(restarts, iterations), SeededRng(seed))
+        res = max_leakage(mub_family(k, m), OptimizerConfig(restarts, iterations), SeededRng(seed))
         assert (res.best_gain, res.best_restart) == (gain, restart)
         assert hashlib.sha256(res.best_params.tobytes()).hexdigest() == digest
 
@@ -353,7 +352,7 @@ class TestMaxLeakage:
         monkeypatch.setattr(MeasurementBasis, "matrix", property(lambda b: log.append("matrix") or matrix(b)))
         argv = ["scan", "--k", "2..3", "--m", "1..2", "--seed", "9", "--out", str(tmp_path / "scan.csv")]
         assert cli.main(argv) == 0
-        res = max_leakage(build_family(mub_family(4, 2)), OptimizerConfig(8, 2), SeededRng(0))
+        res = max_leakage(mub_family(4, 2), OptimizerConfig(8, 2), SeededRng(0))
         assert isinstance(res.winner, MeasurementBasis) and len(res.winner.factors) == 4
         assert log == []
         first = res.best_params
@@ -366,13 +365,13 @@ class TestMaxLeakage:
         ids=["mub42-structured-winner", "mub31-haar-winner"],
     )
     def test_best_params_are_the_winners_parameters(self, k, m, restarts, iterations, winner_type):
-        res = max_leakage(build_family(mub_family(k, m)), OptimizerConfig(restarts, iterations), SeededRng(0))
+        res = max_leakage(mub_family(k, m), OptimizerConfig(restarts, iterations), SeededRng(0))
         assert type(res.winner) is winner_type
         dense = res.winner.matrix if winner_type is MeasurementBasis else res.winner
         np.testing.assert_array_equal(res.best_params, params_from_unitary(dense))
 
     def test_default_config_reaches_four_thirds_at_k3(self):
-        res = max_leakage(build_family(mub_family(3, 1)), OptimizerConfig(), SeededRng(802))
+        res = max_leakage(mub_family(3, 1), OptimizerConfig(), SeededRng(802))
         assert 1.3087 <= res.best_gain <= 1.5 + 1e-6
 
     def test_needs_a_restart(self):
@@ -390,7 +389,7 @@ class TestMaxLeakage:
         for name in ("slot_entropy", "_stacked_encoders", "_parallel_map"):
             _record_calls(monkeypatch, name, log)
         with pytest.raises(ValueError, match=match):
-            max_leakage(build_family(mub_family(k, m)), OptimizerConfig(restarts, 2), SeededRng(1))
+            max_leakage(mub_family(k, m), OptimizerConfig(restarts, 2), SeededRng(1))
         assert log == []
 
     def test_search_caps_boundary(self):
@@ -406,7 +405,7 @@ class TestMaxLeakage:
 
 class TestGradient:
     @pytest.mark.parametrize(
-        "family", [explicit_single_bit_family(), build_family(mub_family(3, 1))], ids=["explicit", "mub31"]
+        "family", [explicit_single_bit_family(), mub_family(3, 1)], ids=["explicit", "mub31"]
     )
     def test_matches_central_differences(self, family):
         # along Cayley(-t A) U = (I + t A) U + O(t^2) the slope of f at t = 0
@@ -446,7 +445,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2)])
     def test_structured_starts_are_stationary(self, k, m):
-        family = build_family(mub_family(k, m))
+        family = mub_family(k, m)
         enc = _stacked_encoders(family)
         for j in range(k):
             for basis in (honest_basis(family, j), invert_basis(family, j)):
@@ -458,7 +457,7 @@ class TestGradient:
         # why max_leakage scores these starts instead of descending them:
         # each is a strict local optimum, so a descent from a Cayley kick of
         # Frobenius norm 1e-3 or 0.1 ends no lower than the start itself
-        family = build_family(mub_family(k, m))
+        family = mub_family(k, m)
         enc = _stacked_encoders(family)
         n = family.n
         stream = SeededRng(50 + n)
@@ -586,9 +585,8 @@ class TestMeasurementAudits:
         rep = povm_gain_audit(fam, 40, SeededRng(21))
         assert rep.violations == 0
 
-    @pytest.mark.parametrize("basis", [mub_family(2, 1), mub_family(2, 2)], ids=["mub21", "mub22"])
-    def test_povm_audit_builds_each_encoder_once_and_matches_a_per_trial_check(self, basis, monkeypatch):
-        family = build_family(basis)
+    @pytest.mark.parametrize("family", [mub_family(2, 1), mub_family(2, 2)], ids=["mub21", "mub22"])
+    def test_povm_audit_builds_each_encoder_once_and_matches_a_per_trial_check(self, family, monkeypatch):
         reports = []
         for t in range(30):  # the audit as a loop of one-POVM checks, each building its own encoders
             stream = SeededRng(8).derive(t)
@@ -608,7 +606,7 @@ class TestMeasurementAudits:
         assert rep.parameters["worst_outcome_gain"] == max(worst)
 
     @pytest.mark.parametrize(
-        "basis, match",
+        "family, match",
         [
             (mub_family(3, 1), "k=2"),
             (random_family(2, 1, SeededRng(5)), "pairwise-unbiased"),
@@ -617,15 +615,15 @@ class TestMeasurementAudits:
         ],
         ids=["mub31-k3", "random21-biased", "mub25-n1024", "mub24-n256"],
     )
-    def test_povm_audit_refuses_its_family_before_any_draw(self, basis, match):
+    def test_povm_audit_refuses_its_family_before_any_draw(self, family, match):
         # the first trial's operators alone would be a 34 GB array at (2, 5)
         # and a 0.5 GB one at (2, 4)
         with pytest.raises(ValueError, match=match):
-            povm_gain_audit(build_family(basis), 1, _NoDraws())
+            povm_gain_audit(family, 1, _NoDraws())
 
     def test_projective_audit_seeded_values(self):
         # pinned figures: the audit's Haar draws and entropy sums must not move
-        rep = projective_gain_audit(build_family(mub_family(3, 2)), 300, SeededRng(4))
+        rep = projective_gain_audit(mub_family(3, 2), 300, SeededRng(4))
         assert rep.min_slack == pytest.approx(2.121979409224868, abs=1e-12)
         assert rep.parameters["worst_expected_gain"] == pytest.approx(0.6228848869170138, abs=1e-12)
 
@@ -653,7 +651,7 @@ class TestWorkerControl:
     @pytest.mark.parametrize("k, m, restarts", [(3, 2, 9), (4, 2, 3)], ids=["mub32-haar", "mub42-structured"])
     def test_thread_count_never_changes_pooled_restarts(self, k, m, restarts, monkeypatch):
         # from n = 64 the restarts run on the pool; the winner is still the earliest lowest f
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         cfg = OptimizerConfig(restarts=restarts, iterations=20)
         results = []
         for threads in ("1", "2", "4"):
@@ -665,7 +663,7 @@ class TestWorkerControl:
 
 
 def _hk_encoders(k, m):
-    fam = build_family(mub_family(k, m))
+    fam = mub_family(k, m)
     return [kron_chain(fam.factors(i)) for i in range(k)]
 
 
@@ -673,7 +671,7 @@ def _hk_encoders(k, m):
 CHUNKED_AUDITS = [
     ("entropic-8", lambda rng: verify_theorem1(8, 5000, rng), 3),
     ("concentration-256", lambda rng: concentration_experiment(256, 32, None, rng), 8),
-    ("projective-mub32", lambda rng: projective_gain_audit(build_family(mub_family(3, 2)), 200, rng), 4),
+    ("projective-mub32", lambda rng: projective_gain_audit(mub_family(3, 2), 200, rng), 4),
     ("hk-3-2", lambda rng: explore_condition_2prime(_hk_encoders(3, 2), 5000, rng), 3),
 ]
 
@@ -765,12 +763,12 @@ class TestAuditChunks:
     def test_lanes_racing_to_build_the_encoders_change_nothing(self, monkeypatch):
         # eight chunks on a fresh family, with more lanes than cores and a tiny switch interval
         monkeypatch.setenv("OBLIQ_THREADS", "1")
-        ref = projective_gain_audit(build_family(mub_family(2, 2)), 8192, SeededRng(6)).to_json()
+        ref = projective_gain_audit(mub_family(2, 2), 8192, SeededRng(6)).to_json()
         monkeypatch.setenv("OBLIQ_THREADS", "8")  # more lanes than cores
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = projective_gain_audit(build_family(mub_family(2, 2)), 8192, SeededRng(6)).to_json()
+            got = projective_gain_audit(mub_family(2, 2), 8192, SeededRng(6)).to_json()
         finally:
             sys.setswitchinterval(interval)
         assert got == ref
@@ -789,9 +787,9 @@ class TestLeakageTrend:
 
     def test_unbiased_families_leak_nothing_and_random_ones_at_most_m(self):
         for cell, m in enumerate((1, 2)):
-            assert _mean_honest_leakage(build_family(mub_family(2, m))) == pytest.approx(0.0, abs=1e-9)
+            assert _mean_honest_leakage(mub_family(2, m)) == pytest.approx(0.0, abs=1e-9)
             for s in range(3):
-                leak = _mean_honest_leakage(build_family(random_family(2, m, SeededRng(22).derive(cell * 1000 + s))))
+                leak = _mean_honest_leakage(random_family(2, m, SeededRng(22).derive(cell * 1000 + s)))
                 assert 0.0 <= leak <= m
 
     def test_normalized_leakage_shrinks_with_item_size(self):
@@ -800,7 +798,7 @@ class TestLeakageTrend:
         med = [
             np.median(
                 [
-                    _mean_honest_leakage(build_family(random_family(2, m, SeededRng(23).derive(cell * 1000 + s)))) / m
+                    _mean_honest_leakage(random_family(2, m, SeededRng(23).derive(cell * 1000 + s))) / m
                     for s in range(20)
                 ]
             )

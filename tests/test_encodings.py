@@ -1,5 +1,6 @@
 """Family constructions: explicit, walsh, mub, cyclic, random, tensorized."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -11,7 +12,7 @@ from obliq.encodings import (
     ALPHA_2,
     W2,
     CertificationError,
-    ItemBasisFamily,
+    EncodingFamily,
     build_family,
     cyclic_family,
     explicit_single_bit_family,
@@ -89,7 +90,7 @@ class TestExplicitFamily:
 class TestWalshFamily:
     def test_m1_uses_w2(self):
         fam = walsh_family(1)
-        np.testing.assert_allclose(fam.basis.matrices[1], W2, atol=1e-15)
+        np.testing.assert_allclose(fam.matrices[1], W2, atol=1e-15)
 
     def test_m2_cross_product_flat(self):
         fam = walsh_family(2)
@@ -119,40 +120,50 @@ class TestWalshFamily:
 
 
 class TestBuildFamily:
+    def test_every_constructor_returns_one_frozen_family(self):
+        # `build_family` and `basis` are the identity, kept for the benchmark's workloads
+        rng = SeededRng(1)
+        families = [explicit_single_bit_family(), walsh_family(2), mub_family(3, 2), cyclic_family(3, 1),
+                    random_family(2, 2, rng), tensorized_family(2, 2, 2, rng)]
+        for fam in families:
+            assert type(fam) is EncodingFamily
+            assert build_family(fam) is fam and fam.basis is fam
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fam.encode_slots = None
+
     def test_k2_structure(self):
-        basis = mub_family(2, 1)
-        fam = build_family(basis)
-        a0, a1 = basis.matrices
+        fam = mub_family(2, 1)
+        a0, a1 = fam.matrices
         np.testing.assert_allclose(fam.encoder(0), np.kron(a0, a1), atol=1e-12)
         perm = np.eye(4)[:, rotation_index_map(2, 1, 1)]  # P e_d = e_{rot(d)}
         np.testing.assert_allclose(fam.encoder(1), np.kron(a1, a0) @ perm, atol=1e-12)
 
     def test_k2_walsh_identity(self):
         fam = walsh_family(1)
-        a0, a1 = fam.basis.matrices
+        a0, a1 = fam.matrices
         perm = np.eye(4)[:, rotation_index_map(2, 1, 1)]  # P e_d = e_{rot(d)}
         lhs = fam.encoder(1).conj().T @ fam.encoder(0)
         rhs = perm.conj().T @ np.kron(a1.conj().T @ a0, a0.conj().T @ a1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_k3_all_unitary(self):
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         for i in range(3):
             assert is_unitary(fam.encoder(i), 1e-9)
 
     def test_rejects_non_unitary(self):
         with pytest.raises((ValueError, CertificationError)):
-            ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.ones((2, 2))), kind="explicit")
+            EncodingFamily(k=2, m=1, matrices=(np.eye(2), np.ones((2, 2))), kind="explicit")
 
     def test_encode_column_matches_dense(self):
-        fam = build_family(mub_family(3, 2))
+        fam = mub_family(3, 2)
         for i in range(3):
             dense = fam.encoder(i)
             for d in (0, 5, 17, 63):
                 np.testing.assert_allclose(fam.encode_column(i, d), dense[:, d], atol=1e-12)
 
     def test_vec_times_encoder_matches_dense(self):
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         rng = SeededRng(5)
         vec = rng.gen.standard_normal(8) + 1j * rng.gen.standard_normal(8)
         for i in range(3):
@@ -276,26 +287,25 @@ class TestTensorizedFamily:
         fam = tensorized_family(2, 2, 2, SeededRng(13))
         raw = haar_unitaries(2, 2, SeededRng(13))
         base = np.abs(raw[1].conj().T @ raw[0]).max()
-        efam = build_family(fam)
-        cross = np.abs(efam.encoder(1).conj().T @ efam.encoder(0)).max()
+        cross = np.abs(fam.encoder(1).conj().T @ fam.encoder(0)).max()
         assert cross == pytest.approx(base ** 4, abs=1e-9)
 
 
 class TestDescriptors:
     def test_parameter_only_kinds_omit_matrices(self):
-        fam = build_family(mub_family(3, 2))
+        fam = mub_family(3, 2)
         desc = fam.descriptor()
         assert "matrices" not in desc
         assert desc == {"kind": "mub", "k": 3, "m": 2}
 
     def test_random_kind_embeds_matrices_and_seed(self):
-        fam = build_family(random_family(2, 1, SeededRng(21, 4)))
+        fam = random_family(2, 1, SeededRng(21, 4))
         desc = fam.descriptor()
         assert desc["seed"] == [21, 4]
         rebuilt = np.array(
             [[complex(re, im) for re, im in row] for row in desc["matrices"][1]]
         )
-        np.testing.assert_allclose(rebuilt, fam.basis.matrices[1], atol=1e-15)
+        np.testing.assert_allclose(rebuilt, fam.matrices[1], atol=1e-15)
 
 
 def _ordered_pair_reference(mats):
@@ -309,11 +319,11 @@ class TestSingleCertificationPass:
         # powers of an order-3 unitary, but A_0^dag A_1 = diag(1, w) is not flat
         a = np.diag([1.0, np.exp(2j * np.pi / 3)])
         with pytest.raises(CertificationError, match="not flat"):
-            ItemBasisFamily(k=3, m=1, matrices=(np.eye(2), a, a @ a), kind="cyclic")
+            EncodingFamily(k=3, m=1, matrices=(np.eye(2), a, a @ a), kind="cyclic")
 
     def test_non_flat_walsh_rejected(self):
         with pytest.raises(CertificationError, match="not flat"):
-            ItemBasisFamily(k=2, m=2, matrices=(np.eye(4), np.diag([1, -1, 1, -1])), kind="walsh")
+            EncodingFamily(k=2, m=2, matrices=(np.eye(4), np.diag([1, -1, 1, -1])), kind="walsh")
 
     def test_mub_flags_match_ordered_pairs(self):
         for m in range(1, 5):
@@ -327,7 +337,7 @@ class TestSingleCertificationPass:
         root = SeededRng(31)
         families = [random_family(k, m, root.derive(10 * k + m)) for k, m in ((2, 1), (3, 2), (4, 3))]
         families += [tensorized_family(k, 4, r, root.derive(100 + k * r)) for k in (2, 3) for r in (2, 4)]
-        families.append(ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit"))
+        families.append(EncodingFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit"))
         for fam in families:
             flat, overlap = _ordered_pair_reference(fam.matrices)
             assert fam.pairwise_hadamard is flat
@@ -339,7 +349,7 @@ class TestSingleCertificationPass:
         calls = []
         real = qmath.is_hadamard
         monkeypatch.setattr(qmath, "is_hadamard", lambda *a: calls.append(1) or real(*a))
-        fam = build_family(mub_family(9, 3))
+        fam = mub_family(9, 3)
         assert fam.pairwise_hadamard
         assert len(calls) == 9 * 8 // 2
 
@@ -348,13 +358,12 @@ class TestEncoderCertification:
     def test_build_makes_no_joint_space_unitarity_check(self, monkeypatch):
         from obliq import qmath
 
-        bases = [explicit_single_bit_family().basis, mub_family(3, 2), mub_family(4, 2)]
-        bases.append(tensorized_family(2, 4, 4, SeededRng(3)))
+        families = [explicit_single_bit_family(), mub_family(3, 2), mub_family(4, 2)]
+        families.append(tensorized_family(2, 4, 4, SeededRng(3)))
         shapes = []
         real = qmath.is_unitary
         monkeypatch.setattr(qmath, "is_unitary", lambda mat, tol=1e-9: shapes.append(np.shape(mat)) or real(mat, tol))
-        for basis in bases:
-            fam = build_family(basis)
+        for fam in families:
             first = fam.encoder(1)
             assert np.array_equal(fam.encoder(1), first)  # built again, to the same bits
             assert shapes == []  # the item bases were certified when the family was made

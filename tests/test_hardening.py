@@ -1,12 +1,14 @@
 """XOR share splitting and GF(2^m) affine masking."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliq import gf2, hardening, protocol
-from obliq.encodings import MAX_TRIALS, build_family, explicit_single_bit_family, random_family, walsh_family
+from obliq.encodings import MAX_TRIALS, EncodingFamily, explicit_single_bit_family, random_family, walsh_family
 from obliq.hardening import (
     GfMask,
     XorShares,
@@ -243,7 +245,7 @@ class TestXorShares:
             xor_split(0, 0, 0, 2, SeededRng(1))
 
 
-ATTACK_FAMILIES = [explicit_single_bit_family(), walsh_family(2), build_family(random_family(2, 2, SeededRng(3)))]
+ATTACK_FAMILIES = [explicit_single_bit_family(), walsh_family(2), random_family(2, 2, SeededRng(3))]
 
 
 def _reference_attack(family, db, r, trials, rng):
@@ -307,6 +309,19 @@ class TestTrialDraws:
                     )
 
 
+def _spy_slots(monkeypatch, fam, wrap):
+    """Route `fam.encode_slots(i, d)` through `wrap(slots, i, d)`, `slots` being its real bound method.
+
+    A family is frozen, so the spy goes on the class and every other family keeps the real method.
+    """
+    real = EncodingFamily.encode_slots
+    monkeypatch.setattr(
+        EncodingFamily,
+        "encode_slots",
+        lambda self, i, d: wrap(functools.partial(real, self), i, d) if self is fam else real(self, i, d),
+    )
+
+
 class TestGuessAttack:
     def test_rate_tracks_two_to_minus_r(self):
         fam = walsh_family(2)
@@ -328,9 +343,9 @@ class TestGuessAttack:
         # one encode per distinct (announced i, share pair), one posterior per
         # distinct (i, outcome), however many trials reach them
         fam = walsh_family(2)
-        slots, post = fam.encode_slots, protocol.posterior
+        post = protocol.posterior
         encodes, decodes = [], []
-        monkeypatch.setattr(fam, "encode_slots", lambda i, d: encodes.append((i, d)) or slots(i, d))
+        _spy_slots(monkeypatch, fam, lambda slots, i, d: encodes.append((i, d)) or slots(i, d))
         monkeypatch.setattr(
             protocol, "posterior", lambda basis, f, i, j: decodes.append((i, j)) or post(basis, f, i, j)
         )
@@ -344,10 +359,10 @@ class TestGuessAttack:
         # r = 5 reads 14 words a trial, so 9500 trials take three blocks of at most 2^16 words;
         # laws and decodes are still made once per call, not once per block
         fam, db = explicit_single_bit_family(), DatabaseState(2, 1, (1, 0))
-        words, slots, encodes = SeededRng.child_words, fam.encode_slots, []
+        words, encodes = SeededRng.child_words, []
         blocks = []
         monkeypatch.setattr(SeededRng, "child_words", lambda self, c, w: blocks.append((c, w)) or words(self, c, w))
-        monkeypatch.setattr(fam, "encode_slots", lambda i, d: encodes.append((i, d)) or slots(i, d))
+        _spy_slots(monkeypatch, fam, lambda slots, i, d: encodes.append((i, d)) or slots(i, d))
         rep = xor_guess_attack(fam, db, 5, 9500, SeededRng(4, 8))
         assert [(c.start, c.stop) for c, _ in blocks] == [(0, 4681), (4681, 9362), (9362, 9500)]
         assert all(len(c) * w <= 1 << 16 for c, w in blocks)
@@ -357,17 +372,15 @@ class TestGuessAttack:
 
     def test_failed_reconstruction_is_a_bound_violation(self, monkeypatch):
         fam = walsh_family(2)
-        slots = fam.encode_slots
         # corrupt: the vendor sends the state of a neighbouring configuration
-        monkeypatch.setattr(fam, "encode_slots", lambda i, d: slots(i, d ^ 1))
+        _spy_slots(monkeypatch, fam, lambda slots, i, d: slots(i, d ^ 1))
         with pytest.raises(BoundViolation, match="reconstruct"):
             xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
 
     def test_one_failed_reconstruction_among_sound_ones_is_a_bound_violation(self, monkeypatch):
         fam = walsh_family(2)
-        slots = fam.encode_slots
         # corrupt only the states sent under encoding 0; trials announced 1 still reconstruct
-        monkeypatch.setattr(fam, "encode_slots", lambda i, d: slots(i, d ^ 1 if i == 0 else d))
+        _spy_slots(monkeypatch, fam, lambda slots, i, d: slots(i, d ^ 1 if i == 0 else d))
         with pytest.raises(BoundViolation, match="reconstruct"):
             xor_guess_attack(fam, DatabaseState(2, 2, (2, 1)), 1, 40, SeededRng(7))
 
@@ -454,9 +467,9 @@ class TestMaskedSession:
         assert d_plain == d_masked
 
     def test_requires_k2(self):
-        from obliq.encodings import build_family, mub_family
+        from obliq.encodings import mub_family
 
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         with pytest.raises(ValueError):
             masked_session(
                 DatabaseState(3, 1, (0, 0, 0)), fam, GfMask(1, 1, 0),

@@ -5,9 +5,10 @@ tolerance as a literal, a per-slot posterior applies no Kronecker chain and a
 product session forms no n-entry state.
 Every name `obliq` exports, and every public top-level name of each module,
 has a reader outside the unit tests, and `povm` imports no sibling module
-but `qmath`.  The benchmark contract: the span tracer in perfbench/
-installs and uninstalls cleanly, and every obliq name the workloads read
-exists."""
+but `qmath`; no module wraps a family in `build_family` or reads `.basis`.
+The benchmark contract: the span tracer in perfbench/ installs and
+uninstalls cleanly, every obliq name the workloads read exists, and every
+workload sets up and prepares its references."""
 
 import ast
 import importlib
@@ -23,7 +24,6 @@ import obliq
 from obliq import analysis, cli, protocol, qmath
 from obliq.encodings import (
     EncodingFamily,
-    build_family,
     explicit_single_bit_family,
     mub_family,
     random_family,
@@ -176,7 +176,7 @@ def test_rng_detector_flags_each_form():
 
 
 def _mub_encoders(k, m):
-    fam = build_family(mub_family(k, m))
+    fam = mub_family(k, m)
     return [qmath.kron_chain(fam.factors(i)) for i in range(k)]
 
 
@@ -184,7 +184,7 @@ def _mub_encoders(k, m):
 AUDITS = {
     "entropic": lambda rng: analysis.verify_theorem1(8, 5000, rng),
     "concentration": lambda rng: analysis.concentration_experiment(256, 32, None, rng),
-    "projective": lambda rng: analysis.projective_gain_audit(build_family(mub_family(3, 2)), 200, rng),
+    "projective": lambda rng: analysis.projective_gain_audit(mub_family(3, 2), 200, rng),
     "hk": lambda rng: analysis.explore_condition_2prime(_mub_encoders(3, 2), 5000, rng),
 }
 
@@ -345,7 +345,7 @@ def spy_chain_calls(monkeypatch) -> list:
 
 
 def test_slot_posteriors_apply_no_kronecker_chain(monkeypatch):
-    families = [build_family(mub_family(3, 4)), build_family(random_family(2, 3, qmath.SeededRng(5)))]
+    families = [mub_family(3, 4), random_family(2, 3, qmath.SeededRng(5))]
     calls = spy_chain_calls(monkeypatch)
     for fam in families:
         for index in range(fam.k):
@@ -362,7 +362,7 @@ def spy_state_calls(monkeypatch) -> list:
 
 def test_product_sessions_form_no_n_entry_state(monkeypatch, tmp_path):
     # honest, invert and masked sessions, the CLI's sessions and the XOR attack measure slot by slot
-    families = [build_family(mub_family(3, 4)), build_family(random_family(2, 3, qmath.SeededRng(5)))]
+    families = [mub_family(3, 4), random_family(2, 3, qmath.SeededRng(5))]
     calls = spy_state_calls(monkeypatch)
     for fam in families:
         db = DatabaseState(fam.k, fam.m, (1,) * fam.k)
@@ -474,6 +474,44 @@ def test_unread_definition_detector_counts_each_kind_of_reader():
     assert unread_definitions(modules, others) == ["a.Lonely", "a.TABLE", "a.recursive"]
 
 
+def family_hops(source: str) -> list:
+    """(line, name) for every read of `build_family`, by name, attribute or import, and of a `.basis` attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, "build_family") for a in node.names if a.name == "build_family"]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "build_family" or (name == "basis" and isinstance(node, ast.Attribute)):
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_no_module_wraps_a_family_or_hops_through_basis():
+    # every constructor returns the one family type; `build_family` and `basis` stay for perfbench/ alone
+    found = [
+        f"{path.name}:{line} reads {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in family_hops(path.read_text())
+    ]
+    assert found == []
+
+
+def test_family_hop_detector_flags_each_form():
+    source = "\n".join(
+        [
+            "from .encodings import build_family, mub_family",
+            "def build_family(family):",
+            "    return family",
+            "def f(enc, fam, basis):",
+            "    g = enc.build_family(mub_family(2, 1))",
+            "    return build_family(fam).basis.matrices, fam.basis, basis.items",
+        ]
+    )
+    assert family_hops(source) == [(1, "build_family"), (5, "build_family"), (6, "basis"), (6, "basis"),
+                                   (6, "build_family")]
+
+
 def sibling_imports(source: str) -> set:
     """Every sibling module the source imports, or imports a name from."""
     found = set()
@@ -504,7 +542,11 @@ def _load_perfbench_module(name: str) -> types.ModuleType:
     """Execute perfbench/<name>.py from its text, so no bytecode lands in perfbench/."""
     path = PERFBENCH / f"{name}.py"
     module = types.ModuleType(f"perfbench_{name}")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    sys.modules[module.__name__] = module  # a dataclass looks its module up while it is made
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
@@ -524,6 +566,19 @@ def test_span_tracer_installs_and_restores_every_patched_name():
         now = dict(vars(owner))
         assert now.keys() == saved.keys(), owner
         assert [attr for attr in saved if now[attr] is not saved[attr]] == [], owner
+
+
+@pytest.mark.parametrize("name", ["sessions", "audits", "leakage"])
+def test_every_workload_sets_up_and_prepares_its_references(name, monkeypatch):
+    # set-up and references read attributes off obliq objects (`fam.basis.matrices`),
+    # which `workload_names` cannot resolve; no pass runs
+    monkeypatch.setitem(sys.modules, "reference", _load_perfbench_module("reference"))
+    workloads = _load_perfbench_module("workloads")
+    assert sorted(workloads.WORKLOADS) == ["audits", "leakage", "sessions"]
+    wl = workloads.WORKLOADS[name](obliq, 5)
+    wl.setup()
+    wl.prepare_references()
+    assert wl.families
 
 
 def workload_names(source: str) -> set:

@@ -5,7 +5,7 @@ import pytest
 
 from obliq import analysis
 from obliq.analysis import povm_gain_audit
-from obliq.encodings import EncodingFamily, build_family, explicit_single_bit_family, mub_family, walsh_family
+from obliq.encodings import EncodingFamily, explicit_single_bit_family, mub_family, walsh_family
 from obliq.povm import Povm, povm_gain_account, random_povm, validate_povm
 from obliq.protocol import MeasurementBasis, draw_outcome, honest_basis, outcome_distribution, posterior
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, random_states
@@ -224,8 +224,8 @@ class TestPovmPosterior:
 ACCOUNT_FAMILIES = [
     explicit_single_bit_family(),
     walsh_family(2),
-    build_family(mub_family(2, 2)),
-    build_family(mub_family(3, 1)),
+    mub_family(2, 2),
+    mub_family(3, 1),
 ]
 ACCOUNT_IDS = ["explicit", "walsh2", "mub22", "mub31"]
 
@@ -256,7 +256,7 @@ def _per_operator_account(p: Povm, family) -> dict:
 
 class TestGainAccount:
     @pytest.mark.parametrize(
-        "family", [explicit_single_bit_family(), build_family(mub_family(2, 2))], ids=["explicit", "mub22"]
+        "family", [explicit_single_bit_family(), mub_family(2, 2)], ids=["explicit", "mub22"]
     )
     def test_matches_per_pair_posteriors(self, family):
         root = SeededRng(88)
@@ -271,7 +271,7 @@ class TestGainAccount:
 
     def test_normalizer_mismatch_is_a_bound_violation(self):
         fam = explicit_single_bit_family()
-        a1 = fam.basis.matrices[1]
+        a1 = fam.matrices[1]
         a1.setflags(write=True)
         a1 *= 1.1  # corrupt a factor after build: no encoder is unitary any more
         p = random_povm(4, 3, SeededRng(89))
@@ -336,7 +336,7 @@ class TestEntropyBound:
 
     def test_k3_empirical_cap(self):
         # the convexity argument extends empirically to k=3 families
-        fam = build_family(mub_family(3, 1))
+        fam = mub_family(3, 1)
         root = SeededRng(66)
         cap = fam.k * fam.m / 2.0
         for t in range(20):

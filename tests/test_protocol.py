@@ -18,7 +18,6 @@ import obliq
 from obliq import cli, protocol
 from obliq.analysis import _objective, _stacked_encoders
 from obliq.encodings import (
-    build_family,
     cyclic_family,
     explicit_single_bit_family,
     mub_family,
@@ -48,7 +47,7 @@ from obliq.protocol import (
     transcript_json,
     vendor_encode,
 )
-from obliq.protocol import _HEAD, _SHARED_REPR_MIN, _SLOT, _decode, _posterior_items
+from obliq.protocol import _SHARED_REPR_MIN, _SLOT, _decode, _posterior_items
 from obliq.qmath import BoundViolation, SeededRng, entropy_rows, haar_unitary, is_unitary
 
 S = np.sqrt(0.5)
@@ -209,7 +208,7 @@ class TestBoundViolations:
     def test_info_account_row_sums(self):
         fam = explicit_single_bit_family()
         basis = honest_basis(fam, 0)
-        a1 = fam.basis.matrices[1]
+        a1 = fam.matrices[1]
         a1.setflags(write=True)
         a1 *= 1.1  # corrupt a factor after build: no encoder is unitary any more
         with pytest.raises(BoundViolation, match="row sums"):
@@ -228,14 +227,14 @@ class TestHonestBasis:
 
     def test_walsh_j1_tensor(self):
         fam = walsh_family(1)
-        w = fam.basis.matrices[1]
+        w = fam.matrices[1]
         np.testing.assert_allclose(
             honest_basis(fam, 1).matrix, np.kron(w.conj().T, w.conj().T), atol=1e-12
         )
 
     def test_mub_j2_tensor(self):
-        fam = build_family(mub_family(3, 1))
-        a2 = fam.basis.matrices[2]
+        fam = mub_family(3, 1)
+        a2 = fam.matrices[2]
         expected = np.kron(np.kron(a2.conj().T, a2.conj().T), a2.conj().T)
         np.testing.assert_allclose(honest_basis(fam, 2).matrix, expected, atol=1e-12)
 
@@ -262,8 +261,8 @@ class TestDecodeItem:
         families = (
             explicit_single_bit_family(),
             walsh_family(2),
-            build_family(mub_family(3, 1)),
-            build_family(mub_family(3, 3)),
+            mub_family(3, 1),
+            mub_family(3, 3),
         )
         for fam in families:
             k, m, n = fam.k, fam.m, fam.n
@@ -369,12 +368,12 @@ def _round_trip_family(kind, k, m, r, rng):
     if kind == "walsh":
         return walsh_family(m)
     if kind == "cyclic":
-        return build_family(cyclic_family(k, m))
+        return cyclic_family(k, m)
     if kind == "mub":
-        return build_family(mub_family(k, m))
+        return mub_family(k, m)
     if kind == "random":
-        return build_family(random_family(k, m, rng))
-    return build_family(tensorized_family(k, m, r, rng))
+        return random_family(k, m, rng)
+    return tensorized_family(k, m, r, rng)
 
 
 @st.composite
@@ -425,7 +424,7 @@ class TestTranscriptBytes:
     def test_mub_sessions(self, k, m, db, index, strategy, seed, digest, frame):
         # seeds 11 and 8 announce the guessed index, so those invert sessions
         # pin the whole configuration; seeds 12 and 9 announce another
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         basis = honest_basis(fam, index) if strategy == "honest" else invert_basis(fam, index)
         tr = run_session(DatabaseState.from_index(db, k, m), fam, basis, SeededRng(seed))
         assert (_sha(tr.to_json()), _frame_digest(tr)) == (digest, frame)
@@ -461,7 +460,7 @@ class TestTranscriptBytes:
         # mub(3,4), database 5A3, guess 1: seed 0 announces 0, so every entry
         # is 2^-12; seed 1 announces 1 and pins the configuration.  The
         # digests are json.dumps's, compact and under indent=2.
-        fam = build_family(mub_family(3, 4))
+        fam = mub_family(3, 4)
         tr = run_session(DatabaseState.from_index(0x5A3, 3, 4), fam, invert_basis(fam, 1), SeededRng(seed))
         assert set(tr.posterior) == values
         assert (_sha(tr.to_json()), _sha(transcript_json(tr.to_dict(), indent=2))) == (compact, indented)
@@ -586,34 +585,31 @@ class TestTranscriptJson:
     @pytest.mark.parametrize("make", FALLBACK_ARRAYS.values(), ids=FALLBACK_ARRAYS)
     def test_arrays_that_fall_back(self, transcript_doc, make):
         values = make(_read_only([0.0] * 1000 + [2.0**-3] * 24))
-        for head_rule in (True, False):
-            assert _posterior_items(values, ", ", head_rule) is None
+        for sep in (", ", ",\n  "):
+            assert _posterior_items(values, sep) is None
         for doc in (dict(transcript_doc, posterior=values), _rounds_doc(transcript_doc, (_read_only([0.5] * 600), values))):
             for indent in (None, 2):
                 _assert_writes_as_json_dumps(doc, indent)
 
     def test_which_posteriors_share_reprs(self):
-        # mub(3,4) honest and invert posteriors hold 0 and 2^-t only; random
-        # ones show many distinct values among their first nonzero entries
-        # and go to json.dumps in compact output, but share reprs under
-        # indent.  Short arrays and any list go to json.dumps.  Only those
-        # first entries decide.
+        # every long read-only float64 posterior shares reprs, compact or
+        # indented, however many distinct values it holds: mub(3,4) ones
+        # hold 0 and 2^-t only, random and tensorized ones many values.
+        # Short arrays and any list go to json.dumps.
         db = DatabaseState.from_index(0x5A3, 3, 4)
-        fam = build_family(mub_family(3, 4))
-        for basis in (honest_basis(fam, 2), invert_basis(fam, 1)):
+        fam = mub_family(3, 4)
+        sessions = [(fam, basis) for basis in (honest_basis(fam, 2), invert_basis(fam, 1))]
+        sessions += [(fam, honest_basis(fam, 2)) for fam in (random_family(3, 4, SeededRng(5)),
+                                                             tensorized_family(3, 4, 4, SeededRng(6)))]
+        for fam, basis in sessions:
             for seed in range(3):
                 post = run_session(db, fam, basis, SeededRng(seed)).posterior
-                assert _posterior_items(post, ", ", True)
-                assert _posterior_items(post.tolist(), ", ", True) is None
-        fam = build_family(random_family(3, 4, SeededRng(5)))
-        for seed in range(3):
-            post = run_session(db, fam, honest_basis(fam, 2), SeededRng(seed)).posterior
-            assert _posterior_items(post, ", ", True) is None
-            assert _posterior_items(post, ",\n  ", False) == ",\n  ".join(map(repr, post.tolist()))
-        assert _posterior_items(_read_only([0.0] * (_SHARED_REPR_MIN - 1)), ", ", False) is None
-        assert _posterior_items(_read_only([0.0] * 100 + np.linspace(0, 1, 1000).tolist()), ", ", True) is None
-        assert _posterior_items(_read_only([0.0] * 4095 + [1.0]), ", ", True) is not None
-        assert _posterior_items(_read_only([0.5] * _HEAD + np.linspace(0, 1, 1000).tolist()), ", ", True) is not None
+                for sep in (", ", ",\n  "):
+                    assert _posterior_items(post, sep) == sep.join(map(repr, post.tolist()))
+                    assert _posterior_items(post.tolist(), sep) is None
+        assert _posterior_items(_read_only([0.0] * (_SHARED_REPR_MIN - 1)), ", ") is None
+        for values in ([0.0] * 100 + np.linspace(0, 1, 1000).tolist(), [0.0] * 4095 + [1.0]):
+            assert _posterior_items(_read_only(values), ", ") == ", ".join(map(repr, values))
 
 
 class TestTranscriptPosterior:
@@ -621,7 +617,7 @@ class TestTranscriptPosterior:
 
     @pytest.fixture(scope="class")
     def sessions(self):
-        fam = build_family(mub_family(3, 4))
+        fam = mub_family(3, 4)
         db = DatabaseState.from_index(0x2C9, 3, 4)
         return [(fam, basis, run_session(db, fam, basis, SeededRng(seed)))
                 for basis in (honest_basis(fam, 2), invert_basis(fam, 1)) for seed in (11, 12)]
@@ -664,9 +660,9 @@ class TestWriterGetsTheArray:
             made.append(post)
             return post
 
-        def spy_items(values, sep, head_rule):
+        def spy_items(values, sep):
             handed.append(values)
-            return real_items(values, sep, head_rule)
+            return real_items(values, sep)
 
         def guard(kind):
             """A stand-in for the builtin `kind` that notes when a posterior is passed to it."""
@@ -699,7 +695,7 @@ class TestWriterGetsTheArray:
 
     def test_to_json(self, spied):
         made, handed, listed = spied
-        fam = build_family(mub_family(3, 4))
+        fam = mub_family(3, 4)
         tr = run_session(DatabaseState.from_index(0x2C9, 3, 4), fam, honest_basis(fam, 2), SeededRng(11))
         text = tr.to_json()
         sys.setprofile(None)
@@ -802,11 +798,11 @@ class TestOutcomeLaw:
 
     def test_seeded_session_outcomes_match_the_state_path(self):
         families = [
-            build_family(mub_family(3, 4)),
-            build_family(mub_family(4, 3)),
+            mub_family(3, 4),
+            mub_family(4, 3),
             walsh_family(3),
-            build_family(random_family(2, 3, SeededRng(4, 1))),
-            build_family(tensorized_family(2, 4, 4, SeededRng(4, 2))),
+            random_family(2, 3, SeededRng(4, 1)),
+            tensorized_family(2, 4, 4, SeededRng(4, 2)),
         ]
         for fam in families:
             db = DatabaseState(fam.k, fam.m, tuple(range(1, fam.k + 1)))
@@ -836,14 +832,14 @@ class TestExactPosteriors:
 
     def test_no_entry_in_the_rounding_band(self):
         for k, m, db in ((3, 4, 0x2C9), (4, 3, 0xA5C)):
-            fam = build_family(mub_family(k, m))
+            fam = mub_family(k, m)
             state = DatabaseState.from_index(db, k, m)
             for index in range(k):
                 for seed in range(3):
                     for basis in (honest_basis(fam, index), invert_basis(fam, index)):
                         post = np.asarray(run_session(state, fam, basis, SeededRng(seed)).posterior)
                         assert not ((post > 0) & (post < 1e-12)).any()
-        for fam in (walsh_family(3), build_family(mub_family(2, 6))):
+        for fam in (walsh_family(3), mub_family(2, 6)):
             state, mask = DatabaseState(2, fam.m, (5, 2)), GfMask(fam.m, 6, 3)
             for seed in range(3):
                 tr = run_session(state, fam, honest_basis(fam, seed % 2), SeededRng(seed), mask=mask)
@@ -853,11 +849,11 @@ class TestExactPosteriors:
     def test_n_4096_bytes_are_the_same_under_one_and_two_blas_threads(self):
         script = "\n".join(
             [
-                "from obliq.encodings import build_family, mub_family, random_family",
+                "from obliq.encodings import mub_family, random_family",
                 "from obliq.protocol import DatabaseState, honest_basis, invert_basis, run_session",
                 "from obliq.qmath import SeededRng",
-                "for fam in (build_family(mub_family(3, 4)), build_family(mub_family(4, 3)),",
-                "            build_family(random_family(3, 4, SeededRng(4)))):",
+                "for fam in (mub_family(3, 4), mub_family(4, 3),",
+                "            random_family(3, 4, SeededRng(4))):",
                 "    db = DatabaseState.from_index(0x2C9, fam.k, fam.m)",
                 "    for basis in (honest_basis(fam, 2), invert_basis(fam, 1)):",
                 "        for seed in (11, 12):",
@@ -962,7 +958,7 @@ class TestEventOrderProperties:
 class TestHonestLeakage:
     def test_mub_families_leak_nothing(self):
         for k, m in ((2, 1), (3, 1), (3, 2), (5, 2), (9, 3)):
-            fam = build_family(mub_family(k, m))
+            fam = mub_family(k, m)
             for j in range(k):
                 assert abs(honest_leakage(fam, j)) < 1e-9
 
@@ -974,7 +970,7 @@ class TestHonestLeakage:
     def test_random_families_positive_but_bounded(self):
         root = SeededRng(404)
         for s in range(20):
-            fam = build_family(random_family(3, 4, root.derive(s)))
+            fam = random_family(3, 4, root.derive(s))
             for j in range(3):
                 leak = honest_leakage(fam, j)
                 assert 0.0 <= leak
@@ -983,7 +979,7 @@ class TestHonestLeakage:
     def test_factorized_matches_dense_enumeration(self):
         # oracle: full joint-space posterior marginal, small sizes only
         for k, m in ((2, 1), (2, 2), (3, 1)):
-            fam = build_family(random_family(k, m, SeededRng(7 * k + m)))
+            fam = random_family(k, m, SeededRng(7 * k + m))
             n = fam.n
             for j in range(k):
                 mat = honest_basis(fam, j).matrix
@@ -1000,7 +996,7 @@ class TestHonestLeakage:
     def test_same_bits_as_the_slot_loop(self, k, m):
         # the per-slot form is a rewrite, not a new formula: equal bits (==)
         # to the loop it replaced, on every mub cell with m <= 3
-        fam = build_family(mub_family(k, m))
+        fam = mub_family(k, m)
         for j in range(k):
             assert honest_leakage(fam, j) == _honest_leakage_loop(fam, j)
 
@@ -1008,7 +1004,7 @@ class TestHonestLeakage:
 def _honest_leakage_loop(family, j):
     """The honest-leakage loop that slot_entropy replaced, kept as a bitwise reference."""
     k, m = family.k, family.m
-    mats = family.basis.matrices
+    mats = family.matrices
     adj = mats[j].conj().T
     mean_marginal = 0.0
     for i in range(k):
@@ -1042,6 +1038,6 @@ class TestSlotEntropy:
     def test_matched_slots_add_nothing(self):
         # invert guess g matches every slot at i = g and none at i != g, where
         # a mub family's slots are flat (m bits each): f = (k - 1) m
-        fam = build_family(mub_family(3, 2))
+        fam = mub_family(3, 2)
         for g in range(3):
             assert slot_entropy(fam, invert_basis(fam, g).items) == pytest.approx(4.0, abs=1e-12)

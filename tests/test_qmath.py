@@ -12,7 +12,7 @@ import pytest
 
 import obliq
 from obliq import qmath
-from obliq.encodings import ItemBasisFamily, walsh_family
+from obliq.encodings import EncodingFamily, walsh_family
 from obliq.qmath import (
     SeededRng,
     as_state,
@@ -173,15 +173,15 @@ class TestLinfOverlap:
     """`max_pairwise_overlap`: the largest entry magnitude of any A_i^dag A_j."""
 
     def test_identity_pair(self):
-        fam = ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit")
+        fam = EncodingFamily(k=2, m=1, matrices=(np.eye(2), np.eye(2)), kind="explicit")
         assert fam.max_pairwise_overlap == pytest.approx(1.0)
 
     def test_identity_with_walsh(self):
-        assert walsh_family(2).basis.max_pairwise_overlap == pytest.approx(0.5, abs=1e-12)
+        assert walsh_family(2).max_pairwise_overlap == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            ItemBasisFamily(k=2, m=1, matrices=(np.eye(2), np.eye(4)), kind="explicit")
+            EncodingFamily(k=2, m=1, matrices=(np.eye(2), np.eye(4)), kind="explicit")
 
 
 class TestEntropy:
