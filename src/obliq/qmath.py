@@ -59,6 +59,34 @@ class _PhiloxKey(ISeedSequence):
         return np.array(self.key, dtype=np.uint64)
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): multipliers of lanes (x0, x2), Weyl steps of (k0, k1)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+
+
+def _philox4x64(seed: int, streams: np.ndarray, blocks: int) -> np.ndarray:
+    """Blocks 1..`blocks` of Philox4x64-10 under each key (seed, stream), one row of 4*blocks words per stream.
+
+    This is NumPy Philox's random_raw, which steps the counter before its first block.  A round
+    maps (x0, x1, x2, x3) to (hi(x2*M1) ^ x1 ^ k0, x2*M1, hi(x0*M0) ^ x3 ^ k1, x0*M0); the two
+    products share one (2, streams, blocks) array and the high words come from 32-bit halves.
+    """
+    key = np.stack([np.full(len(streams), seed, np.uint64), streams])[:, :, None]
+    even = np.zeros((2, len(streams), blocks), np.uint64)  # lanes (x0, x2); odd holds (x1, x3)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for _ in range(10):
+        lo, hi = even & _LOW32, even >> _SHIFT32
+        mid = hi * _M_LO + (lo * _M_LO >> _SHIFT32)
+        cross = lo * _M_HI + (mid & _LOW32)
+        high = hi * _M_HI + (mid >> _SHIFT32) + (cross >> _SHIFT32)
+        even, odd = high[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+        key = key + _PHILOX_W  # uint64 arrays wrap mod 2^64
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(len(streams), 4 * blocks)
+
+
 class SeededRng:
     """Counter-based random source: Philox keyed (seed, stream) at counter 0.
 
@@ -79,12 +107,14 @@ class SeededRng:
     def child_words(self, children: range, words: int) -> np.ndarray:
         """The first `words` raw Philox words of each child stream in `children`, one uint64 row per child.
 
+        The blocks of every child come from one vectorized Philox4x64-10 kernel, no generator is
+        built, and an empty range or zero words give an empty (len(children), words) array.
         A Generator draws integers(2^j), j <= 32, as the top j bits of a word's 32-bit halves, low
         half first, and random() as (w >> 11) * 2^-53.
         """
         index = np.arange(children.start, children.stop, children.step, dtype=np.uint64) + 1
-        streams = _splitmix64(self.stream ^ index * np.uint64(_GOLDEN)).tolist()
-        return np.stack([np.random.Philox(_PhiloxKey(self.seed, s)).random_raw(words) for s in streams])
+        streams = _splitmix64(self.stream ^ index * np.uint64(_GOLDEN))
+        return _philox4x64(self.seed, streams, -(-words // 4))[:, :words]
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"

@@ -339,6 +339,19 @@ class TestGuessAttack:
         rep = xor_guess_attack(walsh_family(2), DatabaseState(2, 2, (2, 1)), 2, 2000, SeededRng(102))
         assert rep["frequency"] == 0.243
 
+    def test_attack_builds_no_bit_generator(self, monkeypatch):
+        # every trial's words come from one Philox kernel over all children, not a numpy Philox per trial
+        fam, db = explicit_single_bit_family(), DatabaseState(2, 1, (1, 0))
+        rngs = {r: SeededRng(1000 + r) for r in (1, 2, 3)}  # each builds its own stream before the spy
+        philox, built = np.random.Philox, []
+        monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: built.append(args) or philox(*args, **kwargs))
+        SeededRng(7).derive(1)
+        assert len(built) == 2  # the spy sees a stream being built
+        built.clear()
+        for r, rng in rngs.items():
+            assert xor_guess_attack(fam, db, r, 150, rng)["trials"] == 150
+        assert built == []
+
     def test_each_round_law_and_decode_computed_once(self, monkeypatch):
         # one encode per distinct (announced i, share pair), one posterior per
         # distinct (i, outcome), however many trials reach them

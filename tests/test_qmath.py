@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obliq
 from obliq import qmath
@@ -491,6 +493,29 @@ class TestSeededRng:
                 assert block.dtype == np.uint64 and block.shape == (len(children), words)
                 expected = np.stack([rng.derive(t).gen.bit_generator.random_raw(words) for t in children])
                 np.testing.assert_array_equal(block, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**63),
+        length=st.integers(0, 40),
+        step=st.integers(1, 9),
+        words=st.integers(0, 17),
+    )
+    def test_child_words_match_numpys_philox_on_any_key_range_and_width(self, seed, stream, start, length, step, words):
+        # the reference is each child's own numpy generator; an empty range or zero words give an empty block
+        rng, children = SeededRng(seed, stream), range(start, start + length * step, step)
+        block = rng.child_words(children, words)
+        assert block.dtype == np.uint64 and block.shape == (length, words)
+        for row, t in zip(block, children):
+            np.testing.assert_array_equal(row, rng.derive(t).gen.bit_generator.random_raw(words))
+
+    def test_child_words_at_the_attacks_largest_block(self):
+        # r = 2 reads 5 words a trial, so a block holds (2^16) // 5 children
+        rng, children = SeededRng(2**63 + 5, 2**64 - 1), range((1 << 16) // 5)
+        expected = np.stack([rng.derive(t).gen.bit_generator.random_raw(5) for t in children])
+        np.testing.assert_array_equal(rng.child_words(children, 5), expected)
 
     @pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)])
     def test_key_helper_refuses_any_other_request(self, request_):
